@@ -65,6 +65,20 @@ def _read_matrix_csv(path, expect_header: bool):
     return header, rows
 
 
+def _numbers(path, rows, convert=float) -> np.ndarray:
+    """The cells of CSV rows as a numeric matrix; a bad cell is a user error
+    that names the file and row (rows counted from 1, blank lines skipped)."""
+    out = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            out.append([convert(c) for c in row])
+        except ValueError as exc:
+            raise UserError(f"{path}: row {i}: {exc}") from None
+    if len({len(row) for row in out}) > 1:
+        raise UserError(f"{path}: rows have different numbers of cells")
+    return np.array(out)
+
+
 def ingest_returns(spec: ReturnsSpec):
     """Price CSV (header of symbols, one row per day) -> returns Dataset.
 
@@ -85,7 +99,11 @@ def ingest_returns(spec: ReturnsSpec):
             if cell == "" or cell.upper() == "NA":
                 raise MissingValue(f"missing price at row {i + 2}, "
                                    f"symbol {symbols[j]}")
-            value = float(cell)
+            try:
+                value = float(cell)
+            except ValueError:
+                raise UserError(f"{spec.price_csv}: row {i + 2}, symbol "
+                                f"{symbols[j]}: not a number: {cell!r}") from None
             if value <= 0.0:
                 raise InvalidPrice(f"non-positive price at row {i + 2}, "
                                    f"symbol {symbols[j]}")
@@ -149,11 +167,7 @@ def _load_dataset(args):
         return data, groups, symbols
     if getattr(args, "data", None):
         _, rows = _read_matrix_csv(args.data, expect_header=False)
-        try:
-            values = np.array([[float(c) for c in row] for row in rows])
-        except ValueError as exc:
-            raise UserError(f"{args.data}: {exc}") from exc
-        return Dataset(values), {}, None
+        return Dataset(_numbers(args.data, rows)), {}, None
     raise UserError("provide --data or --prices")
 
 
@@ -175,7 +189,7 @@ def parse_index_set(tokens: List[str], p: int,
         if len(rest) != 1:
             raise UserError("zeros-of needs one file argument")
         _, rows = _read_matrix_csv(rest[0], expect_header=False)
-        mat = np.array([[float(c) for c in row] for row in rows])
+        mat = _numbers(rest[0], rows)
         if mat.shape != (p, p):
             raise UserError(f"zeros-of matrix must be {p} x {p}")
         j1, j2 = np.nonzero((mat == 0.0) & ~np.eye(p, dtype=bool))
@@ -185,7 +199,11 @@ def parse_index_set(tokens: List[str], p: int,
     if head == "band-outside":
         if len(rest) != 1:
             raise UserError("band-outside needs one integer argument")
-        k = int(rest[0])
+        try:
+            k = int(rest[0])
+        except ValueError:
+            raise UserError(f"band-outside needs an integer, got {rest[0]!r}") \
+                from None
         j1, j2 = np.meshgrid(np.arange(1, p + 1), np.arange(1, p + 1),
                              indexing="ij")
         mask = np.abs(j1 - j2) > k
@@ -196,8 +214,9 @@ def parse_index_set(tokens: List[str], p: int,
         if len(rest) != 1:
             raise UserError("pairs needs one file argument")
         _, rows = _read_matrix_csv(rest[0], expect_header=False)
-        pairs = np.array([[int(row[0]), int(row[1])] for row in rows])
-        return IndexSet(pairs)
+        if any(len(row) < 2 for row in rows):
+            raise UserError(f"{rest[0]}: every row needs two indices")
+        return IndexSet(_numbers(rest[0], [row[:2] for row in rows], int))
     if head == "block":
         if len(rest) != 2:
             raise UserError("block needs two group labels")
@@ -331,7 +350,7 @@ def _cmd_test(args) -> int:
         c = np.zeros(S.r)
     elif args.c_file:
         _, rows = _read_matrix_csv(args.c_file, expect_header=False)
-        c = np.array([float(row[0]) for row in rows])
+        c = _numbers(args.c_file, [row[:1] for row in rows])[:, 0]
         if c.shape != (S.r,):
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
     else:

@@ -24,6 +24,10 @@ BARTLETT = "bartlett"
 # columns used for bandwidth selection at huge r (evenly spaced, deterministic)
 BANDWIDTH_MAX_COLUMNS = 5000
 
+# w_diag builds its lag-weight matrix in row chunks of at most this many
+# entries (32 MB); up to n = 2048 that is one chunk
+TOEPLITZ_MAX_ENTRIES = 2**22
+
 RHO_CLIP = 0.97
 W_FLOOR_EPS = 1e-8
 
@@ -175,18 +179,15 @@ def xi_hat(eta: np.ndarray, s_n: float, kernel: KernelSpec,
     return SymMatrix(xi)
 
 
-def _autocov_columns(x: np.ndarray) -> np.ndarray:
-    """c_k[l] = (1/n) sum_{t>k} x[t,l] x[t-k,l] for all k, via FFT."""
-    n = x.shape[0]
-    m = 1 << int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x, n=m, axis=0)
-    acov = np.fft.irfft(f * np.conj(f), n=m, axis=0)[:n]
-    return acov.real / n
-
-
 def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
            block: int = 8192) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
+
+    The kernel-weighted autocovariance sum of column x_l is the quadratic
+    form x_l' T x_l / n with T[t, s] = K(|t - s| / S_n), so W_ll = h_l^2
+    x_l' T x_l / n: a matrix product per column block. T is built in row
+    chunks of at most TOEPLITZ_MAX_ENTRIES entries, each restricted to the
+    band of lags that carry weight, so memory stays bounded at large n.
 
     Non-positive entries are floored at W_FLOOR_EPS times the lag-0 value and
     a DegenerateVariance warning is emitted.
@@ -195,15 +196,21 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
     if h_diag.shape != (r,):
         raise InvalidInput("h_diag length must match the number of score columns")
     weights = kernel_lag_weights(kernel, n, s_n)
-    lag_w = weights.copy()
-    lag_w[1:] *= 2.0
+    reach = int(np.flatnonzero(weights)[-1])
+    chunk = max(1, TOEPLITZ_MAX_ENTRIES // n)
     out = np.empty(r)
     floored = 0
     for start, stop, cols in iter_column_blocks(eta, block):
-        acov = _autocov_columns(cols)
+        quad = np.zeros(stop - start)
+        for a in range(0, n, chunk):
+            b = min(a + chunk, n)
+            lo, hi = max(0, a - reach), min(n, b + reach)
+            t_rows = weights[np.abs(np.arange(a, b)[:, None]
+                                    - np.arange(lo, hi)[None, :])]
+            quad += (cols[a:b] * (t_rows @ cols[lo:hi])).sum(axis=0)
         h2 = h_diag[start:stop] ** 2
-        w = h2 * (lag_w @ acov)
-        base = h2 * acov[0]
+        w = h2 * quad / n
+        base = h2 * (cols * cols).sum(axis=0) / n
         floor = W_FLOOR_EPS * np.where(base > 0.0, base, W_FLOOR_EPS)
         bad = w <= 0.0
         floored += int(bad.sum())

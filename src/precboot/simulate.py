@@ -16,7 +16,8 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws_dual, quantile
 from .core import Dataset, IndexSet, RngSpec, SymMatrix, index_set_all_offdiag
-from .errors import GenerationError, InvalidDimension, InvalidInput
+from .errors import GenerationError, InvalidDimension, InvalidInput, \
+    PrecbootError
 from .longrun import andrews_bandwidth, w_diag as w_diag_fn
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
@@ -199,7 +200,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
             plain, stud, _ = _replicate_stats(
                 dgp, S, omega_true_s, lasso_cfg, boot_cfg.kernel, 0, b)
             return plain, stud
-        except Exception:
+        except PrecbootError:
             return None
 
     bench = _map_ordered(bench_one, range(truth_reps), threads)
@@ -231,7 +232,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
                 cov[(KMB, level)] = float(np.mean(bench_plain <= q_p))
                 cov[(SKMB, level)] = float(np.mean(bench_stud <= q_s))
             return cov
-        except Exception:
+        except PrecbootError:
             return None
 
     results = _map_ordered(estimate_one, range(replicates), threads)

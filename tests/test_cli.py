@@ -254,3 +254,68 @@ class TestExitCodes:
         path, _ = data_csv
         assert run_cli(["estimate", "--data", path, "--bandwidth", "-2",
                         "--set", "offdiag", "--out", tmp_path / "o.csv"]) == 1
+
+
+class TestBadNumericCells:
+    """A non-numeric cell in any input file is a user error (exit 1) that
+    names the file and the row, never an internal error (exit 2)."""
+
+    def run_expect_user_error(self, capsys, args, *needles):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    def test_price_cell(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("A,B\n1,2\n2,3\nx,4\n3,5\n4,6\n")
+        self.run_expect_user_error(
+            capsys, ["estimate", "--prices", path, "--out", tmp_path / "o"],
+            str(path), "row 4", "symbol A", "'x'")
+
+    def test_pairs_cell(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("1,3\n2,y\n")
+        self.run_expect_user_error(
+            capsys, ["recover", "--data", path, "--set", "pairs", pairs,
+                     "--boot-M", "10", "--out", tmp_path / "o"],
+            str(pairs), "row 2")
+        pairs.write_text("1,3\n2\n")
+        self.run_expect_user_error(
+            capsys, ["recover", "--data", path, "--set", "pairs", pairs,
+                     "--boot-M", "10", "--out", tmp_path / "o"],
+            str(pairs), "two indices")
+
+    def test_ragged_data_rows(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,4,5\n")
+        self.run_expect_user_error(
+            capsys, ["estimate", "--data", path, "--out", tmp_path / "o"],
+            str(path), "different numbers of cells")
+
+    def test_band_outside_argument(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        self.run_expect_user_error(
+            capsys, ["recover", "--data", path, "--set", "band-outside", "x",
+                     "--boot-M", "10", "--out", tmp_path / "o"],
+            "band-outside", "'x'")
+
+    def test_zeros_of_cell(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        mat = tmp_path / "mat.csv"
+        mat.write_text("1,0\n0,z\n")
+        self.run_expect_user_error(
+            capsys, ["recover", "--data", path, "--set", "zeros-of", mat,
+                     "--boot-M", "10", "--out", tmp_path / "o"],
+            str(mat), "row 2")
+
+    def test_c_file_cell(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        cfile = tmp_path / "c.csv"
+        cfile.write_text("0\n" * 5 + "w\n")
+        self.run_expect_user_error(
+            capsys, ["test", "--data", path, "--set", "offdiag", "--c-file",
+                     cfile, "--boot-M", "10", "--out", tmp_path / "o"],
+            str(cfile), "row 6")

@@ -207,6 +207,68 @@ class TestWDiag:
             w_diag(rng.standard_normal((10, 3)), np.ones(2), 1.0, QS)
 
 
+def direct_w(eta, h, s_n, spec):
+    """h_l^2 (1/n) sum over |k| < n of K(k/S_n) sum_t x_{t,l} x_{t-|k|,l},
+    one lag at a time."""
+    n = eta.shape[0]
+    weights = kernel_lag_weights(spec, n, s_n)
+    total = (eta * eta).sum(axis=0)
+    for k in range(1, n):
+        total = total + 2.0 * weights[k] * (eta[k:] * eta[:-k]).sum(axis=0)
+    return h ** 2 * total / n
+
+
+class TestWDiagOracle:
+    @pytest.mark.parametrize("n", [8, 37, 150, 401])
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_matches_direct_lag_sum(self, rng, n, spec):
+        eps = rng.standard_normal((n, 12))
+        eta = eps.copy()
+        for t in range(1, n):
+            eta[t] += 0.5 * eta[t - 1]
+        h = rng.uniform(0.5, 2.0, 12)
+        for s_n in (1.0, 2.7, 0.4 * n):
+            np.testing.assert_allclose(w_diag(eta, h, s_n, spec),
+                                       direct_w(eta, h, s_n, spec),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_row_chunks_match_direct_lag_sum(self, rng, monkeypatch, spec):
+        import precboot.longrun as lr
+        eta = rng.standard_normal((150, 5))
+        h = rng.uniform(0.5, 2.0, 5)
+        monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", 150 * 7)
+        for s_n in (1.0, 2.7, 40.0):
+            np.testing.assert_allclose(w_diag(eta, h, s_n, spec),
+                                       direct_w(eta, h, s_n, spec),
+                                       rtol=1e-12)
+
+    def test_floor_values_and_warning_count(self, rng):
+        from precboot.longrun import W_FLOOR_EPS
+        eta = rng.standard_normal((40, 7))
+        eta[:, [1, 4, 5]] = 0.0
+        with pytest.warns(DegenerateVariance,
+                          match="^3 long-run variance estimates"):
+            w = w_diag(eta, np.ones(7), 2.0, QS)
+        np.testing.assert_array_equal(w[[1, 4, 5]], W_FLOOR_EPS ** 2)
+        assert np.all(w[[0, 2, 3, 6]] > W_FLOOR_EPS)
+
+    def test_lazy_scores_match_dense(self, rng):
+        from precboot import center, fit_pipeline
+        from precboot.core import Dataset, index_set_all_offdiag
+        from precboot.precision import LazyEta, eta_scores
+
+        pipe = fit_pipeline(center(Dataset(rng.standard_normal((60, 6)))))
+        S = index_set_all_offdiag(6)
+        h = h_diag_from_v(pipe.v_hat, S)
+        dense = eta_scores(pipe.fit, pipe.v_hat, S)
+        lazy = LazyEta(pipe.fit, pipe.v_hat, S)
+        np.testing.assert_array_equal(w_diag(lazy, h, 2.0, QS, block=7),
+                                      w_diag(dense, h, 2.0, QS, block=7))
+        np.testing.assert_allclose(w_diag(lazy, h, 2.0, QS, block=7),
+                                   w_diag(dense, h, 2.0, QS), rtol=1e-13)
+
+
 class TestHDiag:
     def test_formula(self):
         v = SymMatrix(np.diag([2.0, 4.0, 5.0]))

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from precboot import Dataset, center, fit_all, fit_node, kkt_violation
-from precboot.errors import DegenerateColumn, InsufficientData, InvalidInput
+from precboot.errors import ConvergenceWarning, DegenerateColumn, \
+    InsufficientData, InvalidInput
 from precboot.nodewise import LassoConfig, default_lambdas
 
 from conftest import gram_dataset, make_centered
@@ -172,3 +174,136 @@ class TestConfigValidation:
         d = make_centered(rng.standard_normal((10, 3)))
         with pytest.raises(InvalidInput):
             default_lambdas(d, LassoConfig(lambda_override=[0.1]))
+
+
+def scalar_cd(gram, j, lam, tol, max_iter):
+    """Reference: the one-node cyclic coordinate descent that fit_all ran
+    node by node before the lockstep solver, kept verbatim.
+
+    Returns (gamma, sweeps, converged).
+    """
+    p = gram.shape[0]
+    gamma = np.zeros(p)
+    gamma[j] = -1.0
+    q = -gram[:, j].copy()
+    sweeps = 0
+    converged = False
+    while sweeps < max_iter:
+        sweeps += 1
+        max_delta = 0.0
+        for k in range(p):
+            if k == j:
+                continue
+            ckk = gram[k, k]
+            if ckk <= 0.0:
+                continue
+            old = gamma[k]
+            partial = q[k] - ckk * old
+            if partial > lam:
+                new = -(partial - lam) / ckk
+            elif partial < -lam:
+                new = -(partial + lam) / ckk
+            else:
+                new = 0.0
+            if new != old:
+                diff = new - old
+                q += gram[:, k] * diff
+                gamma[k] = new
+                ad = abs(diff)
+                if ad > max_delta:
+                    max_delta = ad
+        if max_delta < tol:
+            converged = True
+            break
+    return gamma, sweeps, converged
+
+
+def reference_fit(d, cfg):
+    """(alpha, iterations, non-converged 1-based nodes) from scalar_cd."""
+    lam = default_lambdas(d, cfg)
+    gram = d.values.T @ d.values / d.n
+    rows, sweeps, bad = [], [], []
+    for j0 in range(d.p):
+        gamma, s, ok = scalar_cd(gram, j0, float(lam[j0]), cfg.tol,
+                                 cfg.max_iter)
+        rows.append(gamma)
+        sweeps.append(s)
+        if not ok:
+            bad.append(j0 + 1)
+    return np.array(rows), np.array(sweeps), bad
+
+
+def fit_with_warnings(d, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_all(d, cfg)
+    return fit, [str(w.message) for w in caught
+                 if issubclass(w.category, ConvergenceWarning)]
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestLockstepMatchesScalarCd:
+    """fit_all solves all nodes in lockstep; every node must do exactly the
+    arithmetic of the one-node solver: same alpha, bit for bit and with the
+    sign of zero, the same sweep counts and the same warnings."""
+
+    def check(self, d, cfg):
+        alpha, sweeps, bad = reference_fit(d, cfg)
+        fit, messages = fit_with_warnings(d, cfg)
+        assert_bitwise_equal(fit.alpha, alpha)
+        np.testing.assert_array_equal(fit.iterations, sweeps)
+        assert messages == [
+            f"node {j}: coordinate descent not converged after "
+            f"{cfg.max_iter} sweeps" for j in bad]
+        return fit, bad
+
+    def test_random_datasets(self, rng):
+        cfg = LassoConfig()
+        for p in np.linspace(3, 120, 20).astype(int):
+            n = int(rng.integers(max(20, p // 2), 2 * p + 40))
+            mix = rng.standard_normal((p, p)) * rng.uniform(0.0, 0.4)
+            y = rng.standard_normal((n, p)) @ (np.eye(p) + mix)
+            self.check(make_centered(y), cfg)
+
+    def test_tiny_lambda_dense(self, rng):
+        d = make_centered(rng.standard_normal((60, 8)))
+        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(8, 1e-6),
+                                           tol=1e-10))
+        assert np.all(fit.alpha != 0.0)
+
+    def test_huge_lambda_all_zero(self, rng):
+        d = make_centered(rng.standard_normal((40, 10)))
+        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(10, 1e3)))
+        assert np.all(fit.alpha[~np.eye(10, dtype=bool)] == 0.0)
+        np.testing.assert_array_equal(fit.iterations, 1)
+
+    def test_zero_variance_column_skipped(self, rng):
+        y = rng.standard_normal((50, 6))
+        y[:, 2] = 3.0
+        d = make_centered(y)
+        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(6, 0.05)))
+        assert np.all(fit.alpha[:, 2][np.arange(6) != 2] == 0.0)
+
+    def test_max_iter_two_warns_same_nodes_in_order(self, rng):
+        # nodes with a huge penalty stop after one sweep, the others run out
+        # of sweeps: the warnings must name exactly the latter, in order
+        y = rng.standard_normal((80, 12))
+        y[:, 1:] += 0.9 * y[:, :-1]
+        d = make_centered(y)
+        lam = np.where(np.arange(12) % 3 == 0, 1e3, 0.01)
+        _, bad = self.check(d, LassoConfig(max_iter=2, lambda_override=lam))
+        assert bad == [j for j in range(1, 13) if (j - 1) % 3 != 0]
+
+    def test_fit_node_is_row_of_fit_all(self, rng):
+        d = make_centered(rng.standard_normal((70, 9)))
+        cfg = LassoConfig()
+        fit = fit_all(d, cfg)
+        lam = default_lambdas(d, cfg)
+        for j in range(1, d.p + 1):
+            gamma, sweeps = fit_node(d, j, float(lam[j - 1]), cfg)
+            assert_bitwise_equal(gamma, fit.alpha[j - 1])
+            assert sweeps == fit.iterations[j - 1]

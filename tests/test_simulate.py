@@ -139,6 +139,37 @@ class TestCoverageExperiment:
         b = coverage_experiment(dgp, "zeros", threads=8, **kwargs)
         assert a.mean == b.mean and a.sd == b.sd
 
+    def test_programming_error_propagates(self, monkeypatch):
+        import precboot.simulate as sim
+
+        def broken(data, cfg):
+            raise RuntimeError("bug in the pipeline")
+
+        monkeypatch.setattr(sim, "fit_pipeline", broken)
+        dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
+        with pytest.raises(RuntimeError, match="bug in the pipeline"):
+            coverage_experiment(dgp, "zeros", replicates=2,
+                                boot_cfg=self.small_cfg(), truth_reps=3)
+
+    def test_package_error_counts_one_failure(self, monkeypatch):
+        import precboot.simulate as sim
+        from precboot.errors import DegenerateResiduals
+
+        calls = []
+
+        def fails_once(data, cfg):
+            calls.append(1)
+            if len(calls) == 4:  # the first estimation replicate
+                raise DegenerateResiduals("a node has zero residuals")
+            return fit_pipeline(data, cfg)
+
+        monkeypatch.setattr(sim, "fit_pipeline", fails_once)
+        dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
+        rep = coverage_experiment(dgp, "zeros", replicates=2,
+                                  boot_cfg=self.small_cfg(), truth_reps=3)
+        assert len(calls) == 5
+        assert rep.failures == 1
+
     def test_csv_layout(self, tmp_path):
         dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=2,
