@@ -10,9 +10,7 @@ from .bootstrap import (
     BootstrapResult,
     confidence_region,
     gaussian_mult_factor,
-    kmb_draw_vectors,
     kmb_draws,
-    kmb_draws_dual,
     multiplier_cov,
     quantile,
 )
@@ -37,22 +35,16 @@ from .inference import (
 )
 from .longrun import (
     KernelSpec,
-    LongRunEstimate,
     andrews_bandwidth,
-    gamma_hat,
     kernel_eval,
-    long_run_estimate,
     w_diag,
-    xi_hat,
 )
 from .nodewise import LassoConfig, NodewiseFit, fit_all, fit_node, kkt_violation
 from .pipeline import PipelineFit, fit_pipeline
 from .precision import (
-    PrecisionEstimate,
     estimate_omega,
     estimate_v,
     eta_scores,
-    precision_estimate,
 )
 from .simulate import (
     CoverageReport,

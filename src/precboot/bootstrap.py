@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .core import RngSpec
 from .errors import InvalidInput, InvalidLevel, MissingScale
-from .longrun import KernelSpec, andrews_bandwidth, kernel_eval
+from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
+    w_diag as w_diag_fn
 from .precision import iter_column_blocks
 
-FACTOR_TOL = 1e-8
 DRAW_CHUNK = 256
 COLUMN_BLOCK = 8192
 
@@ -26,13 +26,23 @@ COLUMN_BLOCK = 8192
 class BootstrapConfig:
     rng: RngSpec
     M: int = 3000
-    studentized: bool = False
     kernel: KernelSpec = KernelSpec()
     bandwidth: Optional[float] = None
 
     def __post_init__(self):
         if self.M < 1:
             raise InvalidInput("M must be >= 1")
+        if self.bandwidth is not None and not (
+                math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise InvalidInput("bandwidth must be a positive finite number, "
+                               f"got {self.bandwidth}")
+
+    def bandwidth_for(self, eta) -> float:
+        """The configured bandwidth S_n, else the Andrews AR(1) plug-in for
+        the scores eta."""
+        if self.bandwidth is None:
+            return andrews_bandwidth(eta, self.kernel)
+        return float(self.bandwidth)
 
 
 @dataclass
@@ -81,120 +91,38 @@ def _draw_multipliers(factor: np.ndarray, rng: RngSpec, m_start: int,
     return factor @ z
 
 
-def _max_stats(eta, scale: np.ndarray, g: np.ndarray,
-               column_block: int, keep_vectors: bool):
-    """Max_l |scale_l * (eta' g)_l| per draw; optionally the full vectors."""
-    n_draws = g.shape[1]
-    best = np.zeros(n_draws)
-    vectors = np.empty((scale.shape[0], n_draws)) if keep_vectors else None
-    for start, stop, cols in iter_column_blocks(eta, column_block):
-        s = scale[start:stop, None] * (cols.T @ g)
-        if keep_vectors:
-            vectors[start:stop] = s
-        np.maximum(best, np.abs(s).max(axis=0), out=best)
-    return best, vectors
-
-
 def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
-              w_diag: Optional[np.ndarray] = None,
-              column_block: int = COLUMN_BLOCK) -> BootstrapResult:
-    """Run M multiplier-bootstrap draws and return the sorted max statistics.
+              studentized: Sequence[bool] = (False,),
+              column_block: int = COLUMN_BLOCK) -> List[BootstrapResult]:
+    """Run M multiplier-bootstrap draws at the bandwidth
+    ``cfg.bandwidth_for(eta)`` and return one result of sorted max statistics
+    per entry of ``studentized``, all from the same draws.
 
-    Studentized draws additionally scale each coordinate by 1/sqrt(w_diag).
+    A studentized entry also scales each coordinate by 1/sqrt(w_diag), with
+    w_diag estimated at the same bandwidth; its result carries that w_diag.
     """
     n, r = eta.shape
     if r < 1:
         raise InvalidInput("need at least one score column")
-    if cfg.studentized:
-        if w_diag is None:
-            raise MissingScale("studentized bootstrap needs w_diag")
-        if np.any(w_diag <= 0.0):
-            raise MissingScale("studentized bootstrap needs positive w_diag")
-    s_n = cfg.bandwidth
-    if s_n is None:
-        s_n = andrews_bandwidth(eta, cfg.kernel)
+    s_n = cfg.bandwidth_for(eta)
+    w = w_diag_fn(eta, h_diag, s_n, cfg.kernel) if any(studentized) \
+        else None
+    plain = h_diag / math.sqrt(n)
+    scales = [plain / np.sqrt(w) if stud else plain for stud in studentized]
     factor = gaussian_mult_factor(n, s_n, cfg.kernel)
-    scale = h_diag / math.sqrt(n)
-    if cfg.studentized:
-        scale = scale / np.sqrt(w_diag)
-    stats = np.empty(cfg.M)
+    stats = np.zeros((len(scales), cfg.M))
     for m_start in range(0, cfg.M, DRAW_CHUNK):
         m_stop = min(m_start + DRAW_CHUNK, cfg.M)
         g = _draw_multipliers(factor, cfg.rng, m_start, m_stop)
-        stats[m_start:m_stop], _ = _max_stats(eta, scale, g, column_block, False)
-    stats.sort()
-    return BootstrapResult(stats=stats, bandwidth=float(s_n),
-                           studentized=cfg.studentized, rng=cfg.rng,
-                           w_diag=np.asarray(w_diag) if w_diag is not None else None)
-
-
-def kmb_draw_vectors(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
-                     w_diag: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full r x M matrix of bootstrap vectors (small-r test hook).
-
-    Column m equals the vector whose max-abs is stats[m] in
-    :func:`kmb_draws` before sorting.
-    """
-    n, r = eta.shape
-    scale = h_diag / math.sqrt(n)
-    if cfg.studentized:
-        if w_diag is None:
-            raise MissingScale("studentized bootstrap needs w_diag")
-        scale = scale / np.sqrt(w_diag)
-    s_n = cfg.bandwidth
-    if s_n is None:
-        s_n = andrews_bandwidth(eta, cfg.kernel)
-    factor = gaussian_mult_factor(n, s_n, cfg.kernel)
-    out = np.empty((r, cfg.M))
-    for m_start in range(0, cfg.M, DRAW_CHUNK):
-        m_stop = min(m_start + DRAW_CHUNK, cfg.M)
-        g = _draw_multipliers(factor, cfg.rng, m_start, m_stop)
-        _, vectors = _max_stats(eta, scale, g, COLUMN_BLOCK, True)
-        out[:, m_start:m_stop] = vectors
-    return out
-
-
-def kmb_draws_dual(eta, h_diag: np.ndarray, w: np.ndarray,
-                   cfg: BootstrapConfig,
-                   column_block: int = COLUMN_BLOCK):
-    """Plain and Studentized statistics from the same multiplier draws.
-
-    Used by the simulation harness, where both variants are evaluated on
-    every replicate; sharing the Gaussian draws halves the cost.
-    """
-    n, r = eta.shape
-    if np.any(w <= 0.0):
-        raise MissingScale("studentized bootstrap needs positive w_diag")
-    s_n = cfg.bandwidth
-    if s_n is None:
-        s_n = andrews_bandwidth(eta, cfg.kernel)
-    factor = gaussian_mult_factor(n, s_n, cfg.kernel)
-    scale = h_diag / math.sqrt(n)
-    scale_stud = scale / np.sqrt(w)
-    plain = np.empty(cfg.M)
-    stud = np.empty(cfg.M)
-    for m_start in range(0, cfg.M, DRAW_CHUNK):
-        m_stop = min(m_start + DRAW_CHUNK, cfg.M)
-        g = _draw_multipliers(factor, cfg.rng, m_start, m_stop)
-        b_plain = np.zeros(m_stop - m_start)
-        b_stud = np.zeros(m_stop - m_start)
         for start, stop, cols in iter_column_blocks(eta, column_block):
             proj = cols.T @ g
-            np.maximum(b_plain,
-                       np.abs(scale[start:stop, None] * proj).max(axis=0),
-                       out=b_plain)
-            np.maximum(b_stud,
-                       np.abs(scale_stud[start:stop, None] * proj).max(axis=0),
-                       out=b_stud)
-        plain[m_start:m_stop] = b_plain
-        stud[m_start:m_stop] = b_stud
-    plain.sort()
-    stud.sort()
-    res_plain = BootstrapResult(stats=plain, bandwidth=float(s_n),
-                                studentized=False, rng=cfg.rng)
-    res_stud = BootstrapResult(stats=stud, bandwidth=float(s_n),
-                               studentized=True, rng=cfg.rng, w_diag=w)
-    return res_plain, res_stud
+            for best, scale in zip(stats[:, m_start:m_stop], scales):
+                np.maximum(best, np.abs(scale[start:stop, None] * proj)
+                           .max(axis=0), out=best)
+    stats.sort(axis=1)
+    return [BootstrapResult(stats=row, bandwidth=float(s_n), studentized=stud,
+                            rng=cfg.rng, w_diag=w if stud else None)
+            for row, stud in zip(stats, studentized)]
 
 
 def quantile(result: BootstrapResult, level: float) -> float:

@@ -25,7 +25,7 @@ from .core import Dataset, IndexSet, RngSpec, center, index_set_all_offdiag, \
     index_set_from_blocks
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
 from .inference import block_test_matrix, recover_support, test_structure
-from .longrun import KernelSpec, andrews_bandwidth, w_diag as w_diag_fn
+from .longrun import KernelSpec
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
 from .simulate import DgpSpec, coverage_experiment, index_set_for, \
@@ -237,12 +237,9 @@ def _bandwidth_from(args) -> Optional[float]:
     if args.bandwidth == "auto":
         return None
     try:
-        value = float(args.bandwidth)
+        return float(args.bandwidth)
     except ValueError as exc:
         raise UserError("--bandwidth must be 'auto' or a positive real") from exc
-    if value <= 0:
-        raise UserError("--bandwidth must be positive")
-    return value
 
 
 def _lasso_from(args) -> LassoConfig:
@@ -270,18 +267,13 @@ def _write_manifest(path, args, extra: dict):
 
 
 def _prepare_bootstrap(pipe, S, args):
-    """Shared per-run bootstrap setup: scores, bandwidth, scale, draws."""
+    """Shared per-run bootstrap: scores and the draws of the chosen variant."""
     eta, h = pipe.scores(S)
-    kernel = _kernel_from(args)
-    s_n = _bandwidth_from(args)
-    if s_n is None:
-        s_n = andrews_bandwidth(eta, kernel)
-    w = w_diag_fn(eta, h, s_n, kernel)
     cfg = BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
-                          studentized=args.studentized, kernel=kernel,
-                          bandwidth=s_n)
-    boot = kmb_draws(eta, h, cfg, w_diag=w)
-    return boot, s_n, w
+                          kernel=_kernel_from(args),
+                          bandwidth=_bandwidth_from(args))
+    (boot,) = kmb_draws(eta, h, cfg, (args.studentized,))
+    return boot
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +317,10 @@ def _cmd_estimate(args) -> int:
              "lambdas": [float(x) for x in pipe.fit.lambdas]}
     if args.set:
         S = parse_index_set(args.set, data.p, groups)
-        boot, s_n, w = _prepare_bootstrap(pipe, S, args)
+        boot = _prepare_bootstrap(pipe, S, args)
         q = quantile(boot, 1.0 - args.alpha)
         region = confidence_region(pipe.omega_on(S), q, data.n,
-                                   args.studentized,
-                                   w_diag=w if args.studentized else None)
+                                   args.studentized, w_diag=boot.w_diag)
         with open(args.intervals_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j1", "j2", "omega", "lo", "hi"])
@@ -338,7 +329,8 @@ def _cmd_estimate(args) -> int:
                                                region):
                 writer.writerow([j1, j2, f"{val:.17g}", f"{lo:.17g}",
                                  f"{hi:.17g}"])
-        extra.update({"bandwidth_used": s_n, "quantile": q, "r": S.r})
+        extra.update({"bandwidth_used": boot.bandwidth, "quantile": q,
+                      "r": S.r})
     _write_manifest(args.out, args, extra)
     return 0
 
@@ -355,7 +347,7 @@ def _cmd_test(args) -> int:
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
     else:
         raise UserError("provide --zero or --c-file")
-    boot, s_n, _ = _prepare_bootstrap(pipe, S, args)
+    boot = _prepare_bootstrap(pipe, S, args)
     outcome = test_structure(pipe.omega_on(S), c, boot, data.n, args.alpha)
     payload = {
         "statistic": outcome.statistic, "quantile": outcome.quantile,
@@ -368,14 +360,15 @@ def _cmd_test(args) -> int:
     print(("REJECT" if outcome.reject else "RETAIN")
           + f" p={outcome.p_value:.6g} stat={outcome.statistic:.6g}"
           + f" q={outcome.quantile:.6g}")
-    _write_manifest(args.out, args, {"bandwidth_used": s_n, "r": S.r})
+    _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
+                                     "r": S.r})
     return 0
 
 
 def _cmd_recover(args) -> int:
     data, groups, _, pipe = _fit_for(args)
     S = parse_index_set(args.set, data.p, groups)
-    boot, s_n, _ = _prepare_bootstrap(pipe, S, args)
+    boot = _prepare_bootstrap(pipe, S, args)
     support = recover_support(pipe.omega_on(S), S, boot, data.n, args.alpha)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -383,8 +376,8 @@ def _cmd_recover(args) -> int:
         omega = pipe.omega_hat
         for j1, j2 in support.selected:
             writer.writerow([j1, j2, f"{omega[j1 - 1, j2 - 1]:.17g}"])
-    _write_manifest(args.out, args, {"bandwidth_used": s_n, "r": S.r,
-                                     "selected": len(support.selected)})
+    _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
+                                     "r": S.r, "selected": len(support.selected)})
     return 0
 
 

@@ -29,10 +29,6 @@ class DegenerateResiduals(PrecbootError):
     pass
 
 
-class InvalidLag(PrecbootError):
-    pass
-
-
 class InvalidLevel(PrecbootError):
     pass
 
@@ -51,10 +47,6 @@ class InvalidPValue(PrecbootError):
 
 class GenerationError(PrecbootError):
     pass
-
-
-class UseDiagonalPath(PrecbootError):
-    """Raised when a full r x r matrix would exceed the memory budget."""
 
 
 class InvalidPrice(PrecbootError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -12,7 +12,6 @@ import numpy as np
 from .bootstrap import BootstrapConfig, BootstrapResult, kmb_draws, quantile
 from .core import Dataset, IndexSet, index_set_from_blocks
 from .errors import InvalidPValue, ShapeError
-from .longrun import andrews_bandwidth, w_diag as w_diag_fn
 from .nodewise import LassoConfig
 from .pipeline import PipelineFit, fit_pipeline
 
@@ -135,14 +134,8 @@ def block_test_matrix(data: Dataset, groups: dict, boot_cfg: BootstrapConfig,
     for idx, (h1, h2) in enumerate(pairs):
         S = index_set_from_blocks(groups, (h1, h2))
         eta, h = pipe.scores(S)
-        s_n = boot_cfg.bandwidth
-        if s_n is None:
-            s_n = andrews_bandwidth(eta, boot_cfg.kernel)
-        w = w_diag_fn(eta, h, s_n, boot_cfg.kernel)
-        cfg = BootstrapConfig(rng=boot_cfg.rng.child(idx), M=boot_cfg.M,
-                              studentized=True, kernel=boot_cfg.kernel,
-                              bandwidth=s_n)
-        boot = kmb_draws(eta, h, cfg, w_diag=w)
+        cfg = replace(boot_cfg, rng=boot_cfg.rng.child(idx))
+        (boot,) = kmb_draws(eta, h, cfg, (True,))
         outcome = test_structure(pipe.omega_on(S), np.zeros(S.r), boot, n,
                                  alpha)
         tests.append(BlockTest(group1=str(h1), group2=str(h2),

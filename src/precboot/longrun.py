@@ -1,22 +1,21 @@
 """Kernel long-run covariance machinery.
 
-Estimates the long-run covariance of the residual-product scores with a
-kernel-weighted sum of sample autocovariances, including the quadratic
-spectral and Bartlett kernels, an AR(1) plug-in bandwidth, and a cheap
-diagonal-only path used for Studentization at large r.
+Estimates the long-run variances of the residual-product scores (the
+diagonal of the kernel-weighted sum of sample autocovariances, used for
+Studentization) with the quadratic spectral and Bartlett kernels, and an
+AR(1) plug-in bandwidth.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import IndexSet, SymMatrix
 from .errors import BandwidthFallback, DegenerateVariance, InsufficientData, \
-    InvalidInput, InvalidLag, UseDiagonalPath
-from .precision import DEFAULT_ENTRY_BUDGET, iter_column_blocks
+    InvalidInput
+from .precision import iter_column_blocks
 
 QS = "qs"
 BARTLETT = "bartlett"
@@ -42,15 +41,6 @@ class KernelSpec:
             raise InvalidInput(f"unknown kernel {self.kind!r}")
         if self.truncation_eps < 0:
             raise InvalidInput("truncation_eps must be >= 0")
-
-
-@dataclass
-class LongRunEstimate:
-    bandwidth: float
-    kernel: KernelSpec
-    h_diag: np.ndarray
-    w_diag: np.ndarray
-    xi_full: Optional[SymMatrix] = None
 
 
 def kernel_eval(spec: KernelSpec, u):
@@ -149,36 +139,6 @@ def kernel_lag_weights(kernel: KernelSpec, n: int, s_n: float) -> np.ndarray:
     return w
 
 
-def gamma_hat(eta: np.ndarray, k: int) -> np.ndarray:
-    """Lag-k sample autocovariance of the scores, divisor n."""
-    n = eta.shape[0]
-    if abs(k) >= n:
-        raise InvalidLag(f"|k| = {abs(k)} must be < n = {n}")
-    if k < 0:
-        return gamma_hat(eta, -k).T
-    if k == 0:
-        return eta.T @ eta / n
-    return eta[k:].T @ eta[:-k] / n
-
-
-def xi_hat(eta: np.ndarray, s_n: float, kernel: KernelSpec,
-           entry_budget: int = DEFAULT_ENTRY_BUDGET) -> SymMatrix:
-    """Full r x r kernel-weighted autocovariance sum."""
-    n, r = eta.shape
-    if r * r > entry_budget:
-        raise UseDiagonalPath(
-            f"r = {r} would need an r^2 = {r * r} matrix; use w_diag instead")
-    weights = kernel_lag_weights(kernel, n, s_n)
-    g0 = eta.T @ eta / n
-    xi = (g0 + g0.T) / 2.0
-    for k in range(1, n):
-        if weights[k] == 0.0:
-            continue
-        gk = eta[k:].T @ eta[:-k] / n
-        xi = xi + weights[k] * (gk + gk.T)
-    return SymMatrix(xi)
-
-
 def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
            block: int = 8192) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
@@ -221,16 +181,3 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
             "got floored", DegenerateVariance)
     return out
 
-
-def long_run_estimate(eta, h: np.ndarray, kernel: KernelSpec,
-                      bandwidth: Optional[float] = None,
-                      keep_xi: bool = False,
-                      entry_budget: int = DEFAULT_ENTRY_BUDGET) -> LongRunEstimate:
-    """Bandwidth + diagonal (and optionally full) long-run covariance."""
-    s_n = andrews_bandwidth(eta, kernel) if bandwidth is None else float(bandwidth)
-    xi = None
-    if keep_xi:
-        xi = xi_hat(eta, s_n, kernel, entry_budget=entry_budget)
-    w = w_diag(eta, h, s_n, kernel)
-    return LongRunEstimate(bandwidth=s_n, kernel=kernel, h_diag=h, w_diag=w,
-                           xi_full=xi)

@@ -7,8 +7,6 @@ rescaling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import IndexSet, SymMatrix
@@ -17,13 +15,6 @@ from .nodewise import NodewiseFit
 
 # dense score matrices are materialized only up to this many entries
 DEFAULT_ENTRY_BUDGET = 2**31
-
-
-@dataclass
-class PrecisionEstimate:
-    v_hat: SymMatrix
-    omega_hat: SymMatrix
-    source: NodewiseFit
 
 
 def estimate_v(fit: NodewiseFit) -> SymMatrix:
@@ -50,11 +41,6 @@ def estimate_omega(v: SymMatrix) -> SymMatrix:
     if np.any(d <= 0.0):
         raise DegenerateResiduals("non-positive diagonal in v")
     return SymMatrix(v.values / np.outer(d, d))
-
-
-def precision_estimate(fit: NodewiseFit) -> PrecisionEstimate:
-    v = estimate_v(fit)
-    return PrecisionEstimate(v_hat=v, omega_hat=estimate_omega(v), source=fit)
 
 
 def eta_scores(fit: NodewiseFit, v: SymMatrix, S: IndexSet) -> np.ndarray:

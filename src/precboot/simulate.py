@@ -9,16 +9,16 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, kmb_draws_dual, quantile
+from .bootstrap import BootstrapConfig, kmb_draws, quantile
 from .core import Dataset, IndexSet, RngSpec, SymMatrix, index_set_all_offdiag
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
     PrecbootError
-from .longrun import andrews_bandwidth, w_diag as w_diag_fn
+from .longrun import w_diag as w_diag_fn
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
 
@@ -130,7 +130,6 @@ class CoverageReport:
     sd: Dict[str, Dict[float, float]]
     failures: int
     runtime: float
-    per_replicate: Optional[Dict[str, np.ndarray]] = None
 
     def rows(self) -> List[dict]:
         out = []
@@ -158,14 +157,15 @@ def _map_ordered(fn, items, threads: int):
 
 
 def _replicate_stats(dgp: DgpSpec, S: IndexSet, omega_true_s: np.ndarray,
-                     lasso_cfg: LassoConfig, kernel, *key: int):
-    """True-deviation max statistics (plain, studentized) for one sample."""
+                     lasso_cfg: LassoConfig, boot_cfg: BootstrapConfig,
+                     *key: int):
+    """True-deviation max statistics (plain, studentized at the bandwidth
+    the bootstrap uses) for one sample."""
     data = generate(dgp, *key)
     pipe = fit_pipeline(data, lasso_cfg)
     dev = np.abs(pipe.omega_on(S) - omega_true_s)
     eta, h = pipe.scores(S)
-    s_n = andrews_bandwidth(eta, kernel)
-    w = w_diag_fn(eta, h, s_n, kernel)
+    w = w_diag_fn(eta, h, boot_cfg.bandwidth_for(eta), boot_cfg.kernel)
     root_n = math.sqrt(dgp.n)
     return root_n * dev.max(), root_n * (dev / np.sqrt(w)).max(), np.median(w)
 
@@ -175,9 +175,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
                         truth_reps: int = 1000,
                         levels: Sequence[float] = DEFAULT_LEVELS,
                         lasso_cfg: Optional[LassoConfig] = None,
-                        threads: int = 1,
-                        keep_per_replicate: bool = False,
-                        _force_quantile: Optional[float] = None) -> CoverageReport:
+                        threads: int = 1) -> CoverageReport:
     """Two-stage coverage protocol.
 
     Stage 1 builds the benchmark distribution of the max statistics from
@@ -198,7 +196,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     def bench_one(b):
         try:
             plain, stud, _ = _replicate_stats(
-                dgp, S, omega_true_s, lasso_cfg, boot_cfg.kernel, 0, b)
+                dgp, S, omega_true_s, lasso_cfg, boot_cfg, 0, b)
             return plain, stud
         except PrecbootError:
             return None
@@ -215,20 +213,12 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
             data = generate(dgp, 1, i)
             pipe = fit_pipeline(data, lasso_cfg)
             eta, h = pipe.scores(S)
-            s_n = boot_cfg.bandwidth
-            if s_n is None:
-                s_n = andrews_bandwidth(eta, boot_cfg.kernel)
-            w = w_diag_fn(eta, h, s_n, boot_cfg.kernel)
-            cfg = BootstrapConfig(rng=boot_cfg.rng.child(i), M=boot_cfg.M,
-                                  kernel=boot_cfg.kernel, bandwidth=s_n)
-            res_plain, res_stud = kmb_draws_dual(eta, h, w, cfg)
+            cfg = replace(boot_cfg, rng=boot_cfg.rng.child(i))
+            res_plain, res_stud = kmb_draws(eta, h, cfg, (False, True))
             cov = {}
             for level in levels:
-                if _force_quantile is not None:
-                    q_p = q_s = _force_quantile
-                else:
-                    q_p = quantile(res_plain, level)
-                    q_s = quantile(res_stud, level)
+                q_p = quantile(res_plain, level)
+                q_s = quantile(res_stud, level)
                 cov[(KMB, level)] = float(np.mean(bench_plain <= q_p))
                 cov[(SKMB, level)] = float(np.mean(bench_stud <= q_s))
             return cov
@@ -243,20 +233,16 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
 
     mean = {KMB: {}, SKMB: {}}
     sd = {KMB: {}, SKMB: {}}
-    per_rep = {} if keep_per_replicate else None
     for method in (KMB, SKMB):
         for level in levels:
             vals = np.array([r[(method, level)] for r in results])
             mean[method][level] = float(vals.mean())
             sd[method][level] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-            if per_rep is not None:
-                per_rep[f"{method}@{level}"] = vals
     return CoverageReport(
         structure=dgp.structure, rho=dgp.rho, p=dgp.p, n=dgp.n,
         index_choice=index_choice, levels=levels, M=boot_cfg.M,
         replicates=replicates, truth_reps=truth_reps, mean=mean, sd=sd,
-        failures=failures, runtime=time.perf_counter() - t0,
-        per_replicate=per_rep)
+        failures=failures, runtime=time.perf_counter() - t0)
 
 
 def write_coverage_csv(path, reports: Sequence[CoverageReport]):

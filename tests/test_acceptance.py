@@ -14,14 +14,15 @@ from precboot import Dataset, RngSpec, center, coverage_experiment, \
     estimate_omega, estimate_v, fit_all, kkt_violation, multiplier_cov, \
     recover_support
 from precboot.inference import test_structure as structure_test
-from precboot.bootstrap import BootstrapConfig, kmb_draws, kmb_draws_dual
+from precboot.bootstrap import BootstrapConfig, kmb_draws
 from precboot.core import IndexSet, index_set_all_offdiag
-from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v, \
-    w_diag, xi_hat
+from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v
 from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas, \
     fit_node
 from precboot.pipeline import fit_pipeline
 from precboot.simulate import DgpSpec, build_sigma, true_zero_set
+
+from conftest import xi_hat
 
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
 
@@ -208,7 +209,7 @@ class TestCriterion7SupportRecovery:
             s_n = andrews_bandwidth(eta, KernelSpec())
             cfg = BootstrapConfig(rng=boot_rng.child(rep), M=500,
                                   bandwidth=s_n)
-            boot = kmb_draws(eta, h, cfg)
+            (boot,) = kmb_draws(eta, h, cfg)
             est = recover_support(pipe.omega_on(S), S, boot, n, alpha)
             selected = set(est.selected)
             exact += selected == true_support
@@ -239,10 +240,9 @@ class TestCriterion8NullCalibration:
             pipe = fit_pipeline(Dataset(y))
             eta, h = pipe.scores(S)
             s_n = andrews_bandwidth(eta, KernelSpec())
-            w = w_diag(eta, h, s_n, KernelSpec())
             cfg = BootstrapConfig(rng=boot_rng.child(rep), M=M,
                                   bandwidth=s_n)
-            res_plain, res_stud = kmb_draws_dual(eta, h, w, cfg)
+            res_plain, res_stud = kmb_draws(eta, h, cfg, (False, True))
             omega_s = pipe.omega_on(S)
             c = np.zeros(S.r)
             out_p = structure_test(omega_s, c, res_plain, n, alpha)

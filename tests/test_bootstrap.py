@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from precboot import RngSpec, confidence_region, gaussian_mult_factor, \
-    kmb_draw_vectors, kmb_draws, kmb_draws_dual, multiplier_cov, quantile
+    kmb_draws, multiplier_cov, quantile
 from precboot.bootstrap import BootstrapConfig, BootstrapResult
 from precboot.errors import InvalidInput, InvalidLevel, MissingScale
-from precboot.longrun import KernelSpec, w_diag
+from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
+
+from conftest import draw_vectors
 
 QS = KernelSpec(kind="qs")
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
@@ -48,13 +50,13 @@ class TestMultiplierFactor:
 class TestKmbDraws:
     def test_zero_scores_zero_stats(self):
         cfg = BootstrapConfig(rng=RngSpec(3), M=50, bandwidth=1.0, kernel=BART)
-        res = kmb_draws(np.zeros((20, 2)), np.ones(2), cfg)
+        (res,) = kmb_draws(np.zeros((20, 2)), np.ones(2), cfg)
         assert np.all(res.stats == 0.0)
 
     def test_stats_sorted_nonnegative_finite(self, rng):
         eta = rng.standard_normal((30, 4))
         cfg = BootstrapConfig(rng=RngSpec(3), M=200, bandwidth=2.0)
-        res = kmb_draws(eta, np.ones(4), cfg)
+        (res,) = kmb_draws(eta, np.ones(4), cfg)
         assert np.all(np.diff(res.stats) >= 0.0)
         assert np.all(res.stats >= 0.0) and np.all(np.isfinite(res.stats))
         assert res.M == 200
@@ -64,15 +66,14 @@ class TestKmbDraws:
         eta = np.ones((100, 1))
         cfg = BootstrapConfig(rng=RngSpec(9), M=20000, bandwidth=1.0,
                               kernel=BART)
-        res = kmb_draws(eta, np.ones(1), cfg)
+        (res,) = kmb_draws(eta, np.ones(1), cfg)
         assert res.stats.std() == pytest.approx(0.6028102749890869, rel=0.02)
 
     def test_studentized_half_normal_mean(self, rng):
         eta = 3.7 * rng.standard_normal((200, 1))
-        w = w_diag(eta, np.ones(1), 1.0, BART)
         cfg = BootstrapConfig(rng=RngSpec(9), M=20000, bandwidth=1.0,
-                              kernel=BART, studentized=True)
-        res = kmb_draws(eta, np.ones(1), cfg, w_diag=w)
+                              kernel=BART)
+        (res,) = kmb_draws(eta, np.ones(1), cfg, (True,))
         assert res.stats.mean() == pytest.approx(math.sqrt(2 / math.pi),
                                                  rel=0.02)
 
@@ -80,58 +81,70 @@ class TestKmbDraws:
         eta = rng.standard_normal((50, 3))
         h = np.array([0.7, 1.1, 2.0])
         scale = np.array([3.0, 0.25, 10.0])
-        cfg = BootstrapConfig(rng=RngSpec(4), M=100, bandwidth=2.0,
-                              studentized=True)
-        w1 = w_diag(eta, h, 2.0, QS)
-        res1 = kmb_draws(eta, h, cfg, w_diag=w1)
-        eta2 = eta * scale[None, :]
-        w2 = w_diag(eta2, h, 2.0, QS)
-        res2 = kmb_draws(eta2, h, cfg, w_diag=w2)
+        cfg = BootstrapConfig(rng=RngSpec(4), M=100, bandwidth=2.0)
+        (res1,) = kmb_draws(eta, h, cfg, (True,))
+        (res2,) = kmb_draws(eta * scale[None, :], h, cfg, (True,))
         np.testing.assert_allclose(res1.stats, res2.stats, rtol=1e-9)
-
-    def test_studentized_requires_w(self, rng):
-        cfg = BootstrapConfig(rng=RngSpec(1), M=10, studentized=True,
-                              bandwidth=1.0)
-        with pytest.raises(MissingScale):
-            kmb_draws(rng.standard_normal((10, 2)), np.ones(2), cfg)
 
     def test_determinism(self, rng):
         eta = rng.standard_normal((25, 3))
         cfg = BootstrapConfig(rng=RngSpec(11, "s"), M=64, bandwidth=1.5)
-        a = kmb_draws(eta, np.ones(3), cfg)
-        b = kmb_draws(eta, np.ones(3), cfg)
+        (a,) = kmb_draws(eta, np.ones(3), cfg)
+        (b,) = kmb_draws(eta, np.ones(3), cfg)
         np.testing.assert_array_equal(a.stats, b.stats)
 
     def test_block_size_does_not_change_results(self, rng):
         eta = rng.standard_normal((25, 7))
         cfg = BootstrapConfig(rng=RngSpec(11), M=32, bandwidth=1.5)
-        a = kmb_draws(eta, np.ones(7), cfg, column_block=2)
-        b = kmb_draws(eta, np.ones(7), cfg, column_block=100)
+        a = kmb_draws(eta, np.ones(7), cfg, (False, True), column_block=2)
+        b = kmb_draws(eta, np.ones(7), cfg, (False, True), column_block=100)
         # block partitioning changes BLAS accumulation order, so agreement is
         # to rounding, not bitwise; bitwise determinism is guaranteed for the
         # fixed default block size
-        np.testing.assert_allclose(a.stats, b.stats, rtol=1e-12)
+        for x, y in zip(a, b):
+            np.testing.assert_allclose(x.stats, y.stats, rtol=1e-12)
 
     def test_vectors_hook_agrees_with_stats(self, rng):
+        # stats are the sorted max-abs of the reference draw vectors, plain
+        # and studentized, over more than one draw chunk
         eta = rng.standard_normal((15, 4))
-        cfg = BootstrapConfig(rng=RngSpec(6), M=40, bandwidth=2.0)
-        stats = kmb_draws(eta, np.ones(4), cfg).stats
-        vectors = kmb_draw_vectors(eta, np.ones(4), cfg)
-        np.testing.assert_allclose(np.sort(np.abs(vectors).max(axis=0)),
-                                   stats, atol=1e-12)
+        h = rng.uniform(0.5, 2.0, 4)
+        cfg = BootstrapConfig(rng=RngSpec(6), M=300, bandwidth=2.0)
+        plain, stud = kmb_draws(eta, h, cfg, (False, True))
+        w = w_diag(eta, h, 2.0, QS)
+        np.testing.assert_array_equal(stud.w_diag, w)
+        for res, vectors in ((plain, draw_vectors(eta, h, cfg)),
+                             (stud, draw_vectors(eta, h, cfg, w))):
+            np.testing.assert_allclose(np.sort(np.abs(vectors).max(axis=0)),
+                                       res.stats, atol=1e-12)
 
     def test_dual_matches_separate_runs(self, rng):
         eta = rng.standard_normal((30, 5))
-        h = np.ones(5)
-        w = w_diag(eta, h, 2.0, QS)
-        cfg = BootstrapConfig(rng=RngSpec(8), M=50, bandwidth=2.0)
-        plain, stud = kmb_draws_dual(eta, h, w, cfg)
-        sep_plain = kmb_draws(eta, h, cfg)
-        cfg_s = BootstrapConfig(rng=RngSpec(8), M=50, bandwidth=2.0,
-                                studentized=True)
-        sep_stud = kmb_draws(eta, h, cfg_s, w_diag=w)
+        h = rng.uniform(0.5, 2.0, 5)
+        cfg = BootstrapConfig(rng=RngSpec(8), M=300, bandwidth=2.0)
+        plain, stud = kmb_draws(eta, h, cfg, (False, True))
+        (sep_plain,) = kmb_draws(eta, h, cfg, (False,))
+        (sep_stud,) = kmb_draws(eta, h, cfg, (True,))
         np.testing.assert_array_equal(plain.stats, sep_plain.stats)
-        np.testing.assert_allclose(stud.stats, sep_stud.stats, rtol=1e-12)
+        np.testing.assert_array_equal(stud.stats, sep_stud.stats)
+        assert not plain.studentized and plain.w_diag is None
+        assert stud.studentized
+        np.testing.assert_array_equal(stud.w_diag, sep_stud.w_diag)
+
+    def test_plug_in_bandwidth_when_none(self, rng):
+        eta = rng.standard_normal((40, 3))
+        cfg = BootstrapConfig(rng=RngSpec(2), M=20)
+        plain, stud = kmb_draws(eta, np.ones(3), cfg, (False, True))
+        s_n = andrews_bandwidth(eta, cfg.kernel)
+        assert plain.bandwidth == stud.bandwidth == s_n
+        np.testing.assert_array_equal(
+            stud.w_diag, w_diag(eta, np.ones(3), s_n, cfg.kernel))
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0,
+                                           -2.0])
+    def test_invalid_bandwidth(self, bandwidth):
+        with pytest.raises(InvalidInput):
+            BootstrapConfig(rng=RngSpec(0), bandwidth=bandwidth)
 
 
 class TestQuantile:
@@ -185,7 +198,7 @@ class TestDistributionalCorrectness:
         s_n = 2.0
         cfg = BootstrapConfig(rng=RngSpec(21), M=200000, bandwidth=s_n,
                               kernel=QS_EXACT)
-        vectors = kmb_draw_vectors(eta, h, cfg)
+        vectors = draw_vectors(eta, h, cfg)
         a = multiplier_cov(n, s_n, QS_EXACT)
         target = np.diag(h) @ (eta.T @ a @ eta / n) @ np.diag(h)
         emp = vectors @ vectors.T / cfg.M

@@ -255,6 +255,17 @@ class TestExitCodes:
         assert run_cli(["estimate", "--data", path, "--bandwidth", "-2",
                         "--set", "offdiag", "--out", tmp_path / "o.csv"]) == 1
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-2"])
+    def test_non_finite_or_non_positive_bandwidth(self, tmp_path, data_csv,
+                                                  capsys, bandwidth):
+        path, _ = data_csv
+        out = tmp_path / "t.json"
+        assert run_cli(["test", "--data", path, "--set", "offdiag", "--zero",
+                        "--bandwidth", bandwidth, "--boot-M", "20",
+                        "--out", out]) == 1
+        assert "bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBadNumericCells:
     """A non-numeric cell in any input file is a user error (exit 1) that

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from precboot import SymMatrix, andrews_bandwidth, gamma_hat, kernel_eval, \
-    long_run_estimate, w_diag, xi_hat
+from precboot import SymMatrix, andrews_bandwidth, kernel_eval, w_diag
 from precboot.core import IndexSet
 from precboot.errors import BandwidthFallback, DegenerateVariance, \
-    InsufficientData, InvalidInput, InvalidLag, UseDiagonalPath
+    InsufficientData, InvalidInput
 from precboot.longrun import KernelSpec, h_diag_from_v, kernel_lag_weights
+
+from conftest import gamma_hat, xi_hat
 
 QS = KernelSpec(kind="qs")
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
@@ -127,10 +128,6 @@ class TestGammaHat:
         eta = rng.standard_normal((12, 3))
         np.testing.assert_array_equal(gamma_hat(eta, -2), gamma_hat(eta, 2).T)
 
-    def test_invalid_lag(self):
-        with pytest.raises(InvalidLag):
-            gamma_hat(np.zeros((5, 1)), 5)
-
 
 def brute_force_xi(eta, s_n, spec):
     n, r = eta.shape
@@ -176,10 +173,6 @@ class TestXiHat:
         xi = xi_hat(eta, 2.0, QS)
         vals = np.linalg.eigvalsh(xi.values)
         assert vals.min() >= -1e-6 * np.trace(xi.values)
-
-    def test_memory_budget(self, rng):
-        with pytest.raises(UseDiagonalPath):
-            xi_hat(rng.standard_normal((10, 5)), 1.0, QS, entry_budget=4)
 
 
 class TestWDiag:
@@ -275,13 +268,3 @@ class TestHDiag:
         S = IndexSet(np.array([[1, 2], [3, 3]]))
         np.testing.assert_allclose(h_diag_from_v(v, S), [1 / 8.0, 1 / 25.0],
                                    atol=1e-15)
-
-
-class TestLongRunEstimate:
-    def test_bundles_consistent_pieces(self, rng):
-        eta = rng.standard_normal((40, 3))
-        h = np.ones(3)
-        est = long_run_estimate(eta, h, QS_EXACT, keep_xi=True)
-        full = h[:, None] * est.xi_full.values * h[None, :]
-        np.testing.assert_allclose(est.w_diag, np.diagonal(full), atol=1e-12)
-        assert est.bandwidth >= 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,19 +108,23 @@ class TestCoverageExperiment:
     def small_cfg(self, M=20):
         return BootstrapConfig(rng=RngSpec(3, "boot"), M=M, bandwidth=1.0)
 
-    def test_forced_infinite_quantile_gives_full_coverage(self):
+    def test_forced_infinite_quantile_gives_full_coverage(self, monkeypatch):
+        import precboot.simulate as sim
+
+        monkeypatch.setattr(sim, "quantile", lambda result, level: np.inf)
         dgp = DgpSpec("A", 6, 0.0, 40, RngSpec(3, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=1,
-                                  boot_cfg=self.small_cfg(M=2), truth_reps=5,
-                                  _force_quantile=np.inf)
+                                  boot_cfg=self.small_cfg(M=2), truth_reps=5)
         for method in ("KMB", "SKMB"):
             assert all(v == 1.0 for v in rep.mean[method].values())
 
-    def test_forced_zero_quantile_gives_no_coverage(self):
+    def test_forced_zero_quantile_gives_no_coverage(self, monkeypatch):
+        import precboot.simulate as sim
+
+        monkeypatch.setattr(sim, "quantile", lambda result, level: -1.0)
         dgp = DgpSpec("A", 6, 0.0, 40, RngSpec(3, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=1,
-                                  boot_cfg=self.small_cfg(M=2), truth_reps=5,
-                                  _force_quantile=-1.0)
+                                  boot_cfg=self.small_cfg(M=2), truth_reps=5)
         assert all(v == 0.0 for v in rep.mean["KMB"].values())
 
     def test_report_fields_and_bounds(self):
@@ -185,6 +191,8 @@ class TestStudentizedScaleTrend:
     def test_w_grows_with_temporal_dependence(self):
         # the asymptotic variance ratio (1+rho^2)/(1-rho^2) > 1 at rho = 0.3;
         # check the ordinal version on estimated scales
+        boot_cfg = BootstrapConfig(rng=RngSpec(0))
+
         def median_w(rho, seed):
             dgp = DgpSpec("A", 10, rho, 200, RngSpec(seed, "w"))
             S = index_set_for("zeros", "A", 10)
@@ -193,8 +201,26 @@ class TestStudentizedScaleTrend:
             meds = []
             for b in range(20):
                 _, _, med = _replicate_stats(dgp, S, truth, LassoConfig(),
-                                             KernelSpec(), 0, b)
+                                             boot_cfg, 0, b)
                 meds.append(med)
             return np.median(meds)
 
         assert median_w(0.3, 11) > median_w(0.0, 11)
+
+
+class TestTruthStage:
+    def test_studentizes_at_the_configured_bandwidth(self):
+        # stage 1 must studentize at the bandwidth the bootstrap uses, not at
+        # the plug-in (2.58 for this sample)
+        dgp = DgpSpec("A", 10, 0.3, 100, RngSpec(5, "truth"))
+        S = index_set_for("zeros", "A", 10)
+        _, omega = build_sigma("A", 10)
+        truth = omega.values[S.rows(), S.cols()]
+        cfg = BootstrapConfig(rng=RngSpec(0), bandwidth=2.5)
+        _, stud, _ = _replicate_stats(dgp, S, truth, LassoConfig(), cfg, 0, 3)
+        pipe = fit_pipeline(generate(dgp, 0, 3))
+        eta, h = pipe.scores(S)
+        assert andrews_bandwidth(eta, KernelSpec()) != 2.5
+        w = w_diag(eta, h, 2.5, KernelSpec())
+        dev = np.abs(pipe.omega_on(S) - truth)
+        assert stud == math.sqrt(dgp.n) * (dev / np.sqrt(w)).max()
