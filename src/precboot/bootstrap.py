@@ -1,8 +1,14 @@
 """Kernel-based multiplier bootstrap (plain and Studentized).
 
-Each bootstrap draw needs only an n-dimensional Gaussian vector with the
-kernel matrix as covariance; the max statistic is accumulated over column
-blocks of the score matrix so no r x r object is ever formed.
+A bootstrap draw is the projection eta' g of the n x r scores on a Gaussian
+multiplier vector g whose covariance is the n x n kernel matrix A, so the
+draw's own covariance is the r x r long-run covariance eta' A eta. Two
+routes give that law:
+
+  * r >= n: factor A (L L' = A), draw n normals per draw and project
+    g = L z over column blocks of the scores, so no r x r object is formed;
+  * r < n: factor eta' A eta itself (R R' = eta' A eta) and draw r normals
+    per draw, so no n x n factor is formed.
 """
 from __future__ import annotations
 
@@ -22,6 +28,15 @@ DRAW_CHUNK = 256
 COLUMN_BLOCK = 8192
 
 
+def check_bandwidth(value: float) -> float:
+    """``value`` if it is a usable bandwidth S_n (finite and positive),
+    else InvalidInput."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInput("bandwidth must be a positive finite number, "
+                           f"got {value}")
+    return value
+
+
 @dataclass
 class BootstrapConfig:
     rng: RngSpec
@@ -32,10 +47,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.M < 1:
             raise InvalidInput("M must be >= 1")
-        if self.bandwidth is not None and not (
-                math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise InvalidInput("bandwidth must be a positive finite number, "
-                               f"got {self.bandwidth}")
+        if self.bandwidth is not None:
+            check_bandwidth(self.bandwidth)
 
     def bandwidth_for(self, eta) -> float:
         """The configured bandwidth S_n, else the Andrews AR(1) plug-in for
@@ -80,14 +93,34 @@ def gaussian_mult_factor(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
         return vecs * np.sqrt(vals)[None, :]
 
 
+def score_mult_factor(eta, s_n: float, kernel: KernelSpec) -> np.ndarray:
+    """A factor R with R R' = eta' A eta, the r x r covariance of a draw,
+    with A = multiplier_cov(n, s_n, kernel).
+
+    The factor is taken in correlation form, R = D V sqrt(vals) with
+    D = diag(sqrt(diag Xi)) and V, vals the eigenpairs (negative ones clipped
+    to 0) of D^-1 Xi D^-1, so rescaling a score column rescales its row of R
+    and nothing else. Columns with zero variance get a zero row.
+    """
+    n = eta.shape[0]
+    x = np.concatenate([cols for _, _, cols in
+                        iter_column_blocks(eta, COLUMN_BLOCK)], axis=1)
+    xi = x.T @ (multiplier_cov(n, s_n, kernel) @ x)
+    d = np.sqrt(np.clip(np.diagonal(xi), 0.0, None))
+    safe = np.where(d > 0.0, d, 1.0)
+    vals, vecs = np.linalg.eigh(xi / np.outer(safe, safe))
+    return d[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+
 def _draw_multipliers(factor: np.ndarray, rng: RngSpec, m_start: int,
                       m_stop: int) -> np.ndarray:
-    """Multiplier vectors g for draws m_start..m_stop-1, one substream per
-    draw so results do not depend on chunking or thread count."""
-    n = factor.shape[0]
-    z = np.empty((n, m_stop - m_start))
+    """``factor @ z`` for the standard normals z of draws m_start..m_stop-1,
+    one substream per draw so results do not depend on chunking or thread
+    count."""
+    k = factor.shape[1]
+    z = np.empty((k, m_stop - m_start))
     for m in range(m_start, m_stop):
-        z[:, m - m_start] = rng.generator(m).standard_normal(n)
+        z[:, m - m_start] = rng.generator(m).standard_normal(k)
     return factor @ z
 
 
@@ -100,6 +133,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
 
     A studentized entry also scales each coordinate by 1/sqrt(w_diag), with
     w_diag estimated at the same bandwidth; its result carries that w_diag.
+    With fewer score columns than time points (r < n) the draws come from
+    ``score_mult_factor``, else from ``gaussian_mult_factor``.
     """
     n, r = eta.shape
     if r < 1:
@@ -109,13 +144,20 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
         else None
     plain = h_diag / math.sqrt(n)
     scales = [plain / np.sqrt(w) if stud else plain for stud in studentized]
-    factor = gaussian_mult_factor(n, s_n, cfg.kernel)
+    if r < n:
+        factor = score_mult_factor(eta, s_n, cfg.kernel)
+    else:
+        factor = gaussian_mult_factor(n, s_n, cfg.kernel)
     stats = np.zeros((len(scales), cfg.M))
     for m_start in range(0, cfg.M, DRAW_CHUNK):
         m_stop = min(m_start + DRAW_CHUNK, cfg.M)
         g = _draw_multipliers(factor, cfg.rng, m_start, m_stop)
-        for start, stop, cols in iter_column_blocks(eta, column_block):
-            proj = cols.T @ g
+        if r < n:  # the draws are already the r projections
+            projections = [(0, r, g)]
+        else:
+            projections = ((start, stop, cols.T @ g) for start, stop, cols
+                           in iter_column_blocks(eta, column_block))
+        for start, stop, proj in projections:
             for best, scale in zip(stats[:, m_start:m_stop], scales):
                 np.maximum(best, np.abs(scale[start:stop, None] * proj)
                            .max(axis=0), out=best)

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, confidence_region, kmb_draws, quantile
+from .bootstrap import BootstrapConfig, check_bandwidth, confidence_region, \
+    kmb_draws, quantile
 from .core import Dataset, IndexSet, RngSpec, center, index_set_all_offdiag, \
     index_set_from_blocks
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
@@ -237,9 +238,10 @@ def _bandwidth_from(args) -> Optional[float]:
     if args.bandwidth == "auto":
         return None
     try:
-        return float(args.bandwidth)
+        value = float(args.bandwidth)
     except ValueError as exc:
         raise UserError("--bandwidth must be 'auto' or a positive real") from exc
+    return check_bandwidth(value)
 
 
 def _lasso_from(args) -> LassoConfig:
@@ -308,6 +310,7 @@ def _fit_for(args):
 
 
 def _cmd_estimate(args) -> int:
+    _bandwidth_from(args)  # a bad --bandwidth is an error even without --set
     data, groups, _, pipe = _fit_for(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -389,7 +392,8 @@ def _cmd_blocks(args) -> int:
                           kernel=_kernel_from(args),
                           bandwidth=_bandwidth_from(args))
     result = block_test_matrix(data, groups, cfg, alpha=args.fdr,
-                               include_within=args.within, pipe=pipe)
+                               include_within=args.within, pipe=pipe,
+                               threads=args.threads)
     result.write_csv(args.out)
     _write_manifest(args.out, args, {
         "fdr": args.fdr, "groups": sorted(groups),

@@ -8,7 +8,8 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +85,6 @@ class IndexSet:
     @property
     def r(self) -> int:
         return self.pairs.shape[0]
-
-    def position_of(self, pair) -> int:
-        """1-based position of a pair (the inverse of chi)."""
-        j1, j2 = pair
-        hits = np.nonzero((self.pairs[:, 0] == j1) & (self.pairs[:, 1] == j2))[0]
-        if hits.size == 0:
-            raise KeyError(pair)
-        return int(hits[0]) + 1
 
     def rows(self) -> np.ndarray:
         """0-based first indices."""
@@ -181,3 +174,12 @@ class RngSpec:
         new_seed = int(ss.generate_state(1, np.uint64)[0])
         label = self.stream + "/" + "-".join(str(k) for k in key)
         return RngSpec(seed=new_seed, stream=label)
+
+
+def map_ordered(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], on a pool of ``threads`` threads when
+    threads > 1; the results keep the order of ``items``."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

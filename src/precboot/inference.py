@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapResult, kmb_draws, quantile
-from .core import Dataset, IndexSet, index_set_from_blocks
+from .core import Dataset, IndexSet, index_set_from_blocks, map_ordered
 from .errors import InvalidPValue, ShapeError
 from .nodewise import LassoConfig
 from .pipeline import PipelineFit, fit_pipeline
@@ -113,11 +113,13 @@ def block_test_matrix(data: Dataset, groups: dict, boot_cfg: BootstrapConfig,
                       alpha: float = 0.1,
                       lasso_cfg: Optional[LassoConfig] = None,
                       include_within: bool = False,
-                      pipe: Optional[PipelineFit] = None) -> BlockTestResult:
+                      pipe: Optional[PipelineFit] = None,
+                      threads: int = 1) -> BlockTestResult:
     """Test every block pair for a non-zero sub-block of the precision matrix.
 
     One global node-wise fit is shared across all hypotheses; each block pair
-    gets its own Studentized bootstrap with an independent RNG substream. The
+    gets its own Studentized bootstrap with an independent RNG substream, so
+    the pairs can run on ``threads`` threads with the same result. The
     P-values then go through BH selection at level ``alpha``.
     """
     if pipe is None:
@@ -129,18 +131,21 @@ def block_test_matrix(data: Dataset, groups: dict, boot_cfg: BootstrapConfig,
             pairs.append((h1, h2))
         if include_within and len(groups[h1]) > 1:
             pairs.append((h1, h1))
-    tests = []
     n = pipe.data.n
-    for idx, (h1, h2) in enumerate(pairs):
+
+    def test_one(item):
+        idx, (h1, h2) = item
         S = index_set_from_blocks(groups, (h1, h2))
         eta, h = pipe.scores(S)
         cfg = replace(boot_cfg, rng=boot_cfg.rng.child(idx))
         (boot,) = kmb_draws(eta, h, cfg, (True,))
         outcome = test_structure(pipe.omega_on(S), np.zeros(S.r), boot, n,
                                  alpha)
-        tests.append(BlockTest(group1=str(h1), group2=str(h2),
-                               p_value=outcome.p_value,
-                               statistic=outcome.statistic))
+        return BlockTest(group1=str(h1), group2=str(h2),
+                         p_value=outcome.p_value,
+                         statistic=outcome.statistic)
+
+    tests = map_ordered(test_one, enumerate(pairs), threads)
     rejected = bh_select([t.p_value for t in tests], alpha)
     for i in rejected:
         tests[i].rejected = True

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws, quantile
-from .core import Dataset, IndexSet, RngSpec, SymMatrix, index_set_all_offdiag
+from .core import Dataset, IndexSet, RngSpec, SymMatrix, \
+    index_set_all_offdiag, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
     PrecbootError
 from .longrun import w_diag as w_diag_fn
@@ -149,13 +149,6 @@ class CoverageReport:
         return out
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _replicate_stats(dgp: DgpSpec, S: IndexSet, omega_true_s: np.ndarray,
                      lasso_cfg: LassoConfig, boot_cfg: BootstrapConfig,
                      *key: int):
@@ -201,7 +194,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
         except PrecbootError:
             return None
 
-    bench = _map_ordered(bench_one, range(truth_reps), threads)
+    bench = map_ordered(bench_one, range(truth_reps), threads)
     bench_fail = sum(1 for b in bench if b is None)
     bench_plain = np.array([b[0] for b in bench if b is not None])
     bench_stud = np.array([b[1] for b in bench if b is not None])
@@ -225,7 +218,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
         except PrecbootError:
             return None
 
-    results = _map_ordered(estimate_one, range(replicates), threads)
+    results = map_ordered(estimate_one, range(replicates), threads)
     failures = bench_fail + sum(1 for r in results if r is None)
     results = [r for r in results if r is not None]
     if not results:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from precboot import Dataset, RngSpec, SymMatrix, center, \
-    gaussian_mult_factor
+    gaussian_mult_factor, multiplier_cov
 from precboot.longrun import kernel_lag_weights
 
 
@@ -36,19 +36,31 @@ def gram_dataset(gram, n=4):
 # ---------------------------------------------------------------------------
 # reference implementations the package is checked against
 
-def draw_vectors(eta, h_diag, cfg, w=None):
-    """Full r x M matrix of bootstrap vectors at the fixed ``cfg.bandwidth``:
-    column m is diag(h) eta' L z_m / sqrt(n), divided entrywise by sqrt(w)
-    when w is given, with L L' the multiplier covariance and z_m the
-    standard normals of draw m's own substream."""
-    n = eta.shape[0]
-    factor = gaussian_mult_factor(n, cfg.bandwidth, cfg.kernel)
-    z = np.column_stack([cfg.rng.generator(m).standard_normal(n)
+def draw_vectors(eta, h_diag, cfg, w=None, n_by_n=None):
+    """Full r x M matrix of bootstrap vectors at the fixed ``cfg.bandwidth``,
+    divided entrywise by sqrt(w) when w is given. Column m is
+    diag(h) eta' L z_m / sqrt(n), with L L' = A the multiplier covariance and
+    z_m the n standard normals of draw m's own substream, when r >= n or
+    ``n_by_n``; otherwise it is diag(h) R z_m / sqrt(n), with R R' = eta' A eta
+    factored in correlation form and z_m the first r normals of that
+    substream."""
+    n, r = eta.shape
+    if n_by_n is None:
+        n_by_n = r >= n
+    if n_by_n:
+        factor = gaussian_mult_factor(n, cfg.bandwidth, cfg.kernel)
+    else:
+        xi = eta.T @ multiplier_cov(n, cfg.bandwidth, cfg.kernel) @ eta
+        sd = np.sqrt(np.diag(xi))
+        vals, vecs = np.linalg.eigh(xi / np.outer(sd, sd))
+        factor = sd[:, None] * vecs * np.sqrt(np.maximum(vals, 0.0))
+    z = np.column_stack([cfg.rng.generator(m).standard_normal(factor.shape[1])
                          for m in range(cfg.M)])
     scale = h_diag / math.sqrt(n)
     if w is not None:
         scale = scale / np.sqrt(w)
-    return scale[:, None] * (eta.T @ (factor @ z))
+    proj = eta.T @ (factor @ z) if n_by_n else factor @ z
+    return scale[:, None] * proj
 
 
 def gamma_hat(eta, k: int) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 
 from precboot import RngSpec, confidence_region, gaussian_mult_factor, \
     kmb_draws, multiplier_cov, quantile
-from precboot.bootstrap import BootstrapConfig, BootstrapResult
+from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
+    BootstrapResult, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, MissingScale
 from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
 
@@ -47,6 +48,47 @@ class TestMultiplierFactor:
             gaussian_mult_factor(0, 1.0, QS)
 
 
+def serially_dependent(rng, n, r, phi=0.5):
+    """n x r scores, each column an AR(1) series with coefficient phi."""
+    e = rng.standard_normal((n, r))
+    for t in range(1, n):
+        e[t] += phi * e[t - 1]
+    return e
+
+
+class LazyScores:
+    """A score source that hands out column blocks, like LazyEta."""
+
+    def __init__(self, eta):
+        self._eta = eta
+        self.shape = eta.shape
+
+    def get_block(self, start, stop):
+        return self._eta[:, start:stop].copy()
+
+
+class TestScoreMultFactor:
+    @pytest.mark.parametrize("n, r, s_n, kernel", [
+        (40, 7, 2.5, QS), (200, 30, 4.0, QS), (60, 59, 3.0, BART),
+        (12, 1, 1.5, QS)])
+    def test_reproduces_long_run_cov(self, rng, n, r, s_n, kernel):
+        eta = serially_dependent(rng, n, r) * rng.uniform(0.1, 10.0, r)
+        factor = score_mult_factor(eta, s_n, kernel)
+        xi = eta.T @ multiplier_cov(n, s_n, kernel) @ eta
+        assert factor.shape == (r, r)
+        np.testing.assert_allclose(factor @ factor.T, xi, rtol=0,
+                                   atol=1e-10 * np.abs(xi).max())
+
+    def test_zero_column_gets_zero_row(self, rng):
+        eta = rng.standard_normal((30, 4))
+        eta[:, 2] = 0.0
+        factor = score_mult_factor(eta, 2.0, QS)
+        assert np.all(factor[2] == 0.0) and np.all(np.isfinite(factor))
+        xi = eta.T @ multiplier_cov(30, 2.0, QS) @ eta
+        np.testing.assert_allclose(factor @ factor.T, xi, rtol=0,
+                                   atol=1e-10 * np.abs(xi).max())
+
+
 class TestKmbDraws:
     def test_zero_scores_zero_stats(self):
         cfg = BootstrapConfig(rng=RngSpec(3), M=50, bandwidth=1.0, kernel=BART)
@@ -78,13 +120,15 @@ class TestKmbDraws:
                                                  rel=0.02)
 
     def test_studentized_scale_invariance(self, rng):
-        eta = rng.standard_normal((50, 3))
-        h = np.array([0.7, 1.1, 2.0])
-        scale = np.array([3.0, 0.25, 10.0])
+        # one shape per draw route: r < n and r >= n
         cfg = BootstrapConfig(rng=RngSpec(4), M=100, bandwidth=2.0)
-        (res1,) = kmb_draws(eta, h, cfg, (True,))
-        (res2,) = kmb_draws(eta * scale[None, :], h, cfg, (True,))
-        np.testing.assert_allclose(res1.stats, res2.stats, rtol=1e-9)
+        for n, r in ((50, 3), (6, 10)):
+            eta = rng.standard_normal((n, r))
+            h = rng.uniform(0.5, 2.0, r)
+            scale = rng.choice([3.0, 0.25, 10.0], r)
+            (res1,) = kmb_draws(eta, h, cfg, (True,))
+            (res2,) = kmb_draws(eta * scale[None, :], h, cfg, (True,))
+            np.testing.assert_allclose(res1.stats, res2.stats, rtol=1e-9)
 
     def test_determinism(self, rng):
         eta = rng.standard_normal((25, 3))
@@ -106,17 +150,46 @@ class TestKmbDraws:
 
     def test_vectors_hook_agrees_with_stats(self, rng):
         # stats are the sorted max-abs of the reference draw vectors, plain
-        # and studentized, over more than one draw chunk
-        eta = rng.standard_normal((15, 4))
-        h = rng.uniform(0.5, 2.0, 4)
+        # and studentized, over more than one draw chunk, on both routes
         cfg = BootstrapConfig(rng=RngSpec(6), M=300, bandwidth=2.0)
-        plain, stud = kmb_draws(eta, h, cfg, (False, True))
-        w = w_diag(eta, h, 2.0, QS)
-        np.testing.assert_array_equal(stud.w_diag, w)
-        for res, vectors in ((plain, draw_vectors(eta, h, cfg)),
-                             (stud, draw_vectors(eta, h, cfg, w))):
-            np.testing.assert_allclose(np.sort(np.abs(vectors).max(axis=0)),
-                                       res.stats, atol=1e-12)
+        for n, r in ((15, 4), (8, 12)):
+            eta = rng.standard_normal((n, r))
+            h = rng.uniform(0.5, 2.0, r)
+            plain, stud = kmb_draws(eta, h, cfg, (False, True))
+            w = w_diag(eta, h, 2.0, QS)
+            np.testing.assert_array_equal(stud.w_diag, w)
+            for res, vectors in ((plain, draw_vectors(eta, h, cfg)),
+                                 (stud, draw_vectors(eta, h, cfg, w))):
+                np.testing.assert_allclose(
+                    np.sort(np.abs(vectors).max(axis=0)), res.stats,
+                    atol=1e-12)
+
+    def test_route_boundary(self, rng):
+        # r = n - 1 takes the r x r route, r = n and n + 1 the n x n route,
+        # whose stats are exactly the max-abs of diag(h) eta' L z / sqrt(n)
+        n = 20
+        cfg = BootstrapConfig(rng=RngSpec(13), M=DRAW_CHUNK, bandwidth=2.5)
+        for r in (n - 1, n, n + 1):
+            eta = rng.standard_normal((n, r))
+            h = rng.uniform(0.5, 2.0, r)
+            plain, stud = kmb_draws(eta, h, cfg, (False, True))
+            assert np.all(np.isfinite(plain.stats))
+            assert np.all(np.isfinite(stud.stats))
+            if r >= n:
+                for res, w in ((plain, None), (stud, stud.w_diag)):
+                    vectors = draw_vectors(eta, h, cfg, w)
+                    np.testing.assert_array_equal(
+                        np.sort(np.abs(vectors).max(axis=0)), res.stats)
+
+    def test_lazy_scores_match_dense(self, rng):
+        # both routes: the r x r factor densifies lazy scores block by block
+        cfg = BootstrapConfig(rng=RngSpec(5), M=40, bandwidth=2.0)
+        for n, r in ((30, 6), (6, 30)):
+            eta = rng.standard_normal((n, r))
+            h = rng.uniform(0.5, 2.0, r)
+            for a, b in zip(kmb_draws(eta, h, cfg, (False, True)),
+                            kmb_draws(LazyScores(eta), h, cfg, (False, True))):
+                np.testing.assert_array_equal(a.stats, b.stats)
 
     def test_dual_matches_separate_runs(self, rng):
         eta = rng.standard_normal((30, 5))
@@ -188,7 +261,35 @@ class TestConfidenceRegion:
             confidence_region(np.array([0.0]), 1.0, 4, True)
 
 
+def quantile_and_se(stats, level):
+    """The level quantile of sorted stats and its Monte Carlo standard
+    error, from the order statistics one binomial sd either side."""
+    m = stats.size
+    k = m * level
+    half = math.sqrt(m * level * (1.0 - level))
+    lo, hi = int(math.floor(k - half)), int(math.ceil(k + half))
+    return stats[int(math.ceil(k)) - 1], (stats[hi - 1] - stats[lo - 1]) / 2.0
+
+
 class TestDistributionalCorrectness:
+    def test_routes_agree_in_law(self, rng):
+        # r < n: the engine draws from the r x r factor of eta' A eta; the
+        # n x n reference vectors, on an independent stream, must give the
+        # same 0.90/0.95/0.99 quantiles within 4 Monte Carlo SEs
+        n, r = 60, 10
+        eta = serially_dependent(rng, n, r) * rng.uniform(0.5, 2.0, r)
+        h = rng.uniform(0.5, 2.0, r)
+        cfg = BootstrapConfig(rng=RngSpec(31), M=20000, bandwidth=3.0)
+        ref_cfg = BootstrapConfig(rng=RngSpec(32), M=20000, bandwidth=3.0)
+        plain, stud = kmb_draws(eta, h, cfg, (False, True))
+        for res, w in ((plain, None), (stud, stud.w_diag)):
+            ref = np.sort(np.abs(draw_vectors(eta, h, ref_cfg, w,
+                                              n_by_n=True)).max(axis=0))
+            for level in (0.90, 0.95, 0.99):
+                q, se = quantile_and_se(res.stats, level)
+                q_ref, se_ref = quantile_and_se(ref, level)
+                assert abs(q - q_ref) <= 4.0 * math.hypot(se, se_ref)
+
     def test_draw_covariance_matches_target(self, rng):
         # r = 4, n = 3 random instance; empirical covariance of the draw
         # vectors vs H (E'AE/n) H within 4 Monte Carlo standard errors

@@ -240,6 +240,32 @@ class TestBlocksCommand:
         assert lines[0] == "group1,group2,p_value,rejected"
         assert len(lines) == 2  # one cross pair
 
+    def test_byte_identical_across_thread_counts(self, tmp_path):
+        rng = np.random.default_rng(9)
+        symbols = [f"S{k}" for k in range(8)]
+        prices = np.exp(np.cumsum(rng.standard_normal((80, 8)) * 0.02, axis=0))
+        path = tmp_path / "prices.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(symbols)
+            writer.writerows(prices.tolist())
+        gmap = tmp_path / "groups.csv"
+        gmap.write_text("".join(f"{s},g{k % 4}\n"
+                                for k, s in enumerate(symbols)))
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"adj{threads}.csv"
+            assert run_cli(["blocks", "--prices", path, "--group-map", gmap,
+                            "--fdr", "0.1", "--boot-M", "300", "--seed", "6",
+                            "--within", "--threads", threads,
+                            "--out", out]) == 0
+            manifest = json.loads(
+                (tmp_path / f"adj{threads}.csv.manifest.json").read_text())
+            assert manifest.pop("threads") == threads
+            outs.append((out.read_bytes(), manifest))
+        assert len(outs[0][0].splitlines()) == 1 + 6 + 4  # cross + within
+        assert outs[0] == outs[1]
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -262,6 +288,17 @@ class TestExitCodes:
         out = tmp_path / "t.json"
         assert run_cli(["test", "--data", path, "--set", "offdiag", "--zero",
                         "--bandwidth", bandwidth, "--boot-M", "20",
+                        "--out", out]) == 1
+        assert "bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-2"])
+    def test_estimate_without_set_rejects_bad_bandwidth(self, tmp_path,
+                                                        data_csv, capsys,
+                                                        bandwidth):
+        path, _ = data_csv
+        out = tmp_path / "omega.csv"
+        assert run_cli(["estimate", "--data", path, "--bandwidth", bandwidth,
                         "--out", out]) == 1
         assert "bandwidth" in capsys.readouterr().err
         assert not out.exists()

@@ -43,14 +43,8 @@ class TestIndexSet:
     def test_order_and_positions(self):
         s = IndexSet(np.array([[1, 3], [2, 1], [4, 4]]))
         assert s.r == 3
-        assert s.position_of((2, 1)) == 2
         assert list(s.rows()) == [0, 1, 3]
         assert list(s.cols()) == [2, 0, 3]
-
-    def test_position_of_missing(self):
-        s = IndexSet(np.array([[1, 2]]))
-        with pytest.raises(KeyError):
-            s.position_of((2, 1))
 
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidDimension):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ class TestBlockTestMatrix:
         result = block_test_matrix(data, groups, cfg, include_within=True)
         labels = {(t.group1, t.group2) for t in result.tests}
         assert labels == {("g1", "g2"), ("g1", "g1"), ("g2", "g2")}
+
+    def test_threads_give_identical_results(self):
+        # more workers than cores and a short switch interval, so the pairs
+        # interleave; each pair's own RNG child makes the result exact
+        data = block_dataset(5)
+        groups = {f"g{k}": [2 * k + 1, 2 * k + 2] for k in range(5)}
+        cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=200, bandwidth=1.5)
+        serial = block_test_matrix(data, groups, cfg, include_within=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = block_test_matrix(data, groups, cfg, include_within=True,
+                                       threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial.tests) == 15
+        assert pooled == serial
 
     def test_csv_format(self, tmp_path):
         data = block_dataset(4)
