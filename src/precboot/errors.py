@@ -57,6 +57,10 @@ class MissingValue(PrecbootError):
     pass
 
 
+class NotConverged(PrecbootError):
+    """No node of a node-wise fit reached tolerance within max_iter sweeps."""
+
+
 class ConvergenceWarning(UserWarning):
     """Coordinate descent hit max_iter before reaching tolerance."""
 

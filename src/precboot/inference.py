@@ -46,7 +46,9 @@ def test_structure(omega_s: np.ndarray, c: np.ndarray, boot: BootstrapResult,
         dev = dev / np.sqrt(boot.w_diag)
     statistic = math.sqrt(n) * float(dev.max())
     q = quantile(boot, 1.0 - alpha)
-    p_value = float(np.mean(boot.stats >= statistic))
+    # (1 + #{T* >= T}) / (M + 1) (Phipson & Smyth 2010): never exactly 0
+    at_least = int(np.count_nonzero(boot.stats >= statistic))
+    p_value = (1 + at_least) / (boot.M + 1)
     return TestOutcome(statistic=statistic, quantile=q,
                        reject=statistic > q, p_value=p_value, alpha=alpha)
 

@@ -7,7 +7,9 @@ residual for node j at time t is -<alpha_j, y_t>.
 The solver is cyclic coordinate descent on the Gram matrix (covariance
 updates), run for all p nodes in lockstep with NumPy: coordinate k is
 visited by every node at once, so one sweep costs p vector steps instead
-of p^2 scalar ones.
+of p^2 scalar ones. The lockstep extends across samples: ``fit_batch``
+solves the nodes of B same-shape samples (a chunk of Monte Carlo
+replicates) as B*p rows of one solve, and ``fit_all`` is the case B = 1.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset
-from .errors import ConvergenceWarning, DegenerateColumn, InsufficientData, InvalidInput
+from .errors import ConvergenceWarning, DegenerateColumn, InsufficientData, \
+    InvalidInput, NotConverged
 
 @dataclass
 class LassoConfig:
@@ -64,33 +67,43 @@ def default_lambdas(data: Dataset, cfg: LassoConfig) -> np.ndarray:
 
 def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
                  tol: float, max_iter: int):
-    """Cyclic coordinate descent on the Gram matrix gram = Y'Y/n, for the
-    nodes in ``active`` at once.
+    """Cyclic coordinate descent on a stack of Gram matrices gram[b] =
+    Y_b'Y_b/n, for the node rows in ``active`` at once.
 
-    Node j minimizes gamma' C gamma + 2*lambdas[j]*sum_{k != j} |gamma_k|
-    over gamma_j = -1. All nodes visit coordinate k together (covariance
-    updates, Friedman, Hastie & Tibshirani 2010); q[j] = C gamma_j is kept
-    node-major and only the rows of nodes whose coefficient k moved are
-    updated. A node leaves ``active`` at the end of the first sweep whose
-    largest move is below tol, so each node does exactly the arithmetic of
-    a one-node solve. Returns (gamma, sweeps, converged), one row per node.
+    Row i = b*p + j is node j of sample b: it minimizes gamma' C_b gamma +
+    2*lambdas[i]*sum_{k != j} |gamma_k| over gamma_j = -1. All rows visit
+    coordinate k together (covariance updates, Friedman, Hastie & Tibshirani
+    2010); q[i] = C_b gamma_i is kept row-major and only the rows whose
+    coefficient k moved are updated. A row leaves ``active`` at the end of
+    the first sweep whose largest move is below tol. Every step is
+    elementwise over rows, so each row does exactly the arithmetic of a
+    one-node solve. Returns (gamma, sweeps, converged), one row per node.
     """
-    p = gram.shape[0]
+    n_b, p, _ = gram.shape
+    rows_all = n_b * p
     # np.zeros, not -np.eye: the latter leaves -0.0 in untouched coefficients
-    gamma = np.zeros((p, p))
-    np.fill_diagonal(gamma, -1.0)
-    gram_cols = np.ascontiguousarray(gram.T)
-    q = -gram_cols  # q[j] = C @ gamma[j], maintained incrementally
-    ckk_all = np.diagonal(gram)
-    coords = np.flatnonzero(ckk_all > 0.0).tolist()
+    gamma = np.zeros((rows_all, p))
+    gamma.reshape(n_b, p * p)[:, ::p + 1] = -1.0
+    gram_cols = np.ascontiguousarray(gram.transpose(0, 2, 1))
+    q = -gram_cols.reshape(rows_all, p)  # q[i] = C_b @ gamma[i], incremental
+    # by_coord[k][b] = C_b[:, k], the update direction of coordinate k
+    by_coord = np.ascontiguousarray(gram_cols.transpose(1, 0, 2))
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    live = diag > 0.0
+    # a sample skips coordinate k when C_b[k, k] = 0; its rows divide by 1
+    # instead and have their move masked to zero
+    ckk_all = np.repeat(np.where(live, diag, 1.0).T, p, axis=1)
+    coords = np.flatnonzero(live.any(axis=0)).tolist()
+    dead_rows = {k: np.repeat(~live[:, k], p) for k in coords
+                 if not live[:, k].all()}
     neg_lambdas = -lambdas
     active = active.copy()
-    sweeps = np.zeros(p, dtype=np.int64)
-    converged = np.zeros(p, dtype=bool)
-    max_delta = np.empty(p)
-    partial = np.empty(p)
-    new = np.empty(p)
-    diff = np.empty(p)
+    sweeps = np.zeros(rows_all, dtype=np.int64)
+    converged = np.zeros(rows_all, dtype=bool)
+    max_delta = np.empty(rows_all)
+    partial = np.empty(rows_all)
+    new = np.empty(rows_all)
+    diff = np.empty(rows_all)
     for sweep in range(1, max_iter + 1):
         idle = ~active
         max_delta.fill(0.0)
@@ -107,10 +120,14 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
             new /= ckk
             np.subtract(new, old, out=diff)
             diff[idle] = 0.0
-            diff[k] = 0.0
+            diff[k::p] = 0.0
+            dead = dead_rows.get(k)
+            if dead is not None:
+                diff[dead] = 0.0
             rows = np.flatnonzero(diff)
             if rows.size:
-                q[rows] += diff[rows, None] * gram_cols[k]
+                cols = by_coord[k] if n_b == 1 else by_coord[k][rows // p]
+                q[rows] += diff[rows, None] * cols
                 gamma[rows, k] = new[rows]
                 np.maximum(max_delta, np.abs(diff, out=diff), out=max_delta)
         sweeps[active] = sweep
@@ -127,19 +144,18 @@ def _check_finite(values: np.ndarray):
         raise InvalidInput("data contains NaN or infinite values")
 
 
-def _solve(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
-           cfg: LassoConfig):
-    """Run the solver and warn, in node order, for every node in ``active``
-    that did not converge."""
-    gamma, sweeps, converged = _cd_lockstep(gram, lambdas, active, cfg.tol,
-                                            cfg.max_iter)
-    for j0 in np.flatnonzero(active & ~converged):
+def _gram(data: Dataset) -> np.ndarray:
+    return data.values.T @ data.values / data.n
+
+
+def _warn_not_converged(nodes: np.ndarray, max_iter: int):
+    """One warning per 0-based node in ``nodes``, in the order given."""
+    for j0 in nodes:
         warnings.warn(
             f"node {j0 + 1}: coordinate descent not converged after "
-            f"{cfg.max_iter} sweeps",
+            f"{max_iter} sweeps",
             ConvergenceWarning,
         )
-    return gamma, sweeps
 
 
 def fit_node(data: Dataset, j: int, lambda_j: float, cfg: LassoConfig):
@@ -152,23 +168,75 @@ def fit_node(data: Dataset, j: int, lambda_j: float, cfg: LassoConfig):
     if not 1 <= j <= data.p:
         raise InvalidInput(f"node index {j} out of range 1..{data.p}")
     _check_finite(data.values)
-    gram = data.values.T @ data.values / data.n
     active = np.arange(data.p) == j - 1
-    gamma, sweeps = _solve(gram, np.full(data.p, float(lambda_j)), active, cfg)
+    gamma, sweeps, converged = _cd_lockstep(
+        _gram(data)[None], np.full(data.p, float(lambda_j)), active, cfg.tol,
+        cfg.max_iter)
+    if not converged[j - 1]:
+        _warn_not_converged([j - 1], cfg.max_iter)
     return gamma[j - 1], int(sweeps[j - 1])
+
+
+def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
+    """Check that ``data`` can be fitted (centred, finite, no zero-variance
+    column without an override) and return its penalties lambda_j."""
+    if not data.centered:
+        raise InsufficientData("node-wise fits require centered data")
+    _check_finite(data.values)
+    return default_lambdas(data, cfg)
+
+
+@dataclass
+class NodewiseBatch:
+    """Node-wise fits of B centred samples of one shape, from one lockstep
+    solve. values[b] is sample b; alpha[b], lambdas[b] and iterations[b] are
+    the fields of its NodewiseFit, and converged[b] flags its nodes that
+    met the tolerance."""
+
+    values: np.ndarray
+    alpha: np.ndarray
+    lambdas: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    max_iter: int
+
+    def sample(self, b: int) -> Dataset:
+        return Dataset(self.values[b], centered=True)
+
+    def fit(self, b: int) -> NodewiseFit:
+        """Sample b's fit with its residuals. Warns, in node order, for each
+        node that did not converge; raises NotConverged if none did."""
+        converged = self.converged[b]
+        if not converged.any():
+            raise NotConverged(
+                f"no node converged within {self.max_iter} sweeps")
+        _warn_not_converged(np.flatnonzero(~converged), self.max_iter)
+        alpha = self.alpha[b]
+        return NodewiseFit(alpha=alpha, lambdas=self.lambdas[b],
+                           residuals=-(self.values[b] @ alpha.T),
+                           iterations=self.iterations[b])
+
+
+def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
+              cfg: LassoConfig) -> NodewiseBatch:
+    """Solve the node-wise regressions of several centred samples of one
+    shape in one lockstep call; ``lambdas`` are their node_penalties."""
+    gram = np.stack([_gram(d) for d in samples])
+    lambdas = np.stack(lambdas)
+    n_b, p = lambdas.shape
+    alpha, sweeps, converged = _cd_lockstep(
+        gram, lambdas.ravel(), np.ones(n_b * p, dtype=bool), cfg.tol,
+        cfg.max_iter)
+    return NodewiseBatch(
+        values=np.stack([d.values for d in samples]),
+        alpha=alpha.reshape(n_b, p, p), lambdas=lambdas,
+        iterations=sweeps.reshape(n_b, p),
+        converged=converged.reshape(n_b, p), max_iter=cfg.max_iter)
 
 
 def fit_all(data: Dataset, cfg: LassoConfig) -> NodewiseFit:
     """Fit all p node-wise regressions and compute residuals."""
-    if not data.centered:
-        raise InsufficientData("fit_all requires centered data")
-    _check_finite(data.values)
-    lambdas = default_lambdas(data, cfg)
-    gram = data.values.T @ data.values / data.n
-    alpha, iterations = _solve(gram, lambdas, np.ones(data.p, dtype=bool), cfg)
-    residuals = -(data.values @ alpha.T)
-    return NodewiseFit(alpha=alpha, lambdas=lambdas, residuals=residuals,
-                       iterations=iterations)
+    return fit_batch([data], [node_penalties(data, cfg)], cfg).fit(0)
 
 
 def kkt_violation(data: Dataset, j: int, lambda_j: float, gamma: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from .core import Dataset, IndexSet, SymMatrix, center
 from .longrun import h_diag_from_v
 from .nodewise import LassoConfig, NodewiseFit, fit_all
-from .precision import scores_for
+from .precision import estimate_omega, estimate_v, scores_for
 
 
 @dataclass
@@ -31,10 +31,13 @@ class PipelineFit:
 
 
 def fit_pipeline(data: Dataset, cfg: LassoConfig = None) -> PipelineFit:
-    from .precision import estimate_omega, estimate_v
-
     cfg = cfg or LassoConfig()
     data = center(data)
-    fit = fit_all(data, cfg)
+    return assemble(data, fit_all(data, cfg))
+
+
+def assemble(data: Dataset, fit: NodewiseFit) -> PipelineFit:
+    """The bias-corrected v_hat and omega_hat of a node-wise fit of the
+    centred ``data``."""
     v = estimate_v(fit)
     return PipelineFit(data=data, fit=fit, v_hat=v, omega_hat=estimate_omega(v))

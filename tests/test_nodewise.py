@@ -6,8 +6,9 @@ import pytest
 
 from precboot import Dataset, center, fit_all, fit_node, kkt_violation
 from precboot.errors import ConvergenceWarning, DegenerateColumn, \
-    InsufficientData, InvalidInput
-from precboot.nodewise import LassoConfig, default_lambdas
+    InsufficientData, InvalidInput, NotConverged
+from precboot.nodewise import LassoConfig, default_lambdas, fit_batch, \
+    node_penalties
 
 from conftest import gram_dataset, make_centered
 
@@ -218,9 +219,11 @@ def scalar_cd(gram, j, lam, tol, max_iter):
     return gamma, sweeps, converged
 
 
-def reference_fit(d, cfg):
-    """(alpha, iterations, non-converged 1-based nodes) from scalar_cd."""
-    lam = default_lambdas(d, cfg)
+def reference_fit(d, cfg, lam=None):
+    """(alpha, iterations, non-converged 1-based nodes) from scalar_cd, at
+    the penalties ``lam`` (default: those of ``cfg``)."""
+    if lam is None:
+        lam = default_lambdas(d, cfg)
     gram = d.values.T @ d.values / d.n
     rows, sweeps, bad = [], [], []
     for j0 in range(d.p):
@@ -233,12 +236,17 @@ def reference_fit(d, cfg):
     return np.array(rows), np.array(sweeps), bad
 
 
-def fit_with_warnings(d, cfg):
+def fit_with_warnings(d, cfg, fit_fn=fit_all):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_all(d, cfg)
+        fit = fit_fn(d, cfg)
     return fit, [str(w.message) for w in caught
                  if issubclass(w.category, ConvergenceWarning)]
+
+
+def not_converged_messages(bad, max_iter):
+    return [f"node {j}: coordinate descent not converged after "
+            f"{max_iter} sweeps" for j in bad]
 
 
 def assert_bitwise_equal(got, want):
@@ -256,9 +264,7 @@ class TestLockstepMatchesScalarCd:
         fit, messages = fit_with_warnings(d, cfg)
         assert_bitwise_equal(fit.alpha, alpha)
         np.testing.assert_array_equal(fit.iterations, sweeps)
-        assert messages == [
-            f"node {j}: coordinate descent not converged after "
-            f"{cfg.max_iter} sweeps" for j in bad]
+        assert messages == not_converged_messages(bad, cfg.max_iter)
         return fit, bad
 
     def test_random_datasets(self, rng):
@@ -307,3 +313,62 @@ class TestLockstepMatchesScalarCd:
             gamma, sweeps = fit_node(d, j, float(lam[j - 1]), cfg)
             assert_bitwise_equal(gamma, fit.alpha[j - 1])
             assert sweeps == fit.iterations[j - 1]
+
+    def test_batch_of_samples_matches_one_by_one(self, rng):
+        # one lockstep solve over several samples of one shape: each sample's
+        # nodes must do the arithmetic of the one-node solver, whatever the
+        # other samples do (converge sooner or later, skip a zero-variance
+        # column, run out of sweeps)
+        n, p = 60, 7
+        samples, lambdas = [], []
+        for scale in (0.0, 0.3, 0.9, 0.5):
+            mix = np.eye(p) + scale * rng.standard_normal((p, p))
+            samples.append(make_centered(rng.standard_normal((n, p)) @ mix))
+            lambdas.append(default_lambdas(samples[-1], LassoConfig()))
+        y = rng.standard_normal((n, p))
+        y[:, 4] = 2.0
+        samples.append(make_centered(y))
+        lambdas.append(np.full(p, 0.05))
+        y = rng.standard_normal((n, p))
+        y[:, 1:] += 0.9 * y[:, :-1]
+        samples.append(make_centered(y))
+        lambdas.append(np.where(np.arange(p) % 3 == 0, 1e3, 0.01))
+        cfg = LassoConfig(max_iter=30)
+        batch = fit_batch(samples, lambdas, cfg)
+        refs = [reference_fit(d, cfg, lam) for d, lam in zip(samples, lambdas)]
+        assert len({int(s.min()) for _, s, _ in refs}) > 2
+        assert any(bad for _, _, bad in refs)
+        for b, (d, (alpha, sweeps, bad)) in enumerate(zip(samples, refs)):
+            fit, messages = fit_with_warnings(b, cfg,
+                                              lambda b, _: batch.fit(b))
+            assert_bitwise_equal(batch.alpha[b], alpha)
+            assert_bitwise_equal(fit.alpha, alpha)
+            np.testing.assert_array_equal(fit.iterations, sweeps)
+            np.testing.assert_array_equal(fit.residuals,
+                                          -(d.values @ alpha.T))
+            assert messages == not_converged_messages(bad, cfg.max_iter)
+        assert np.all(batch.alpha[4][:, 4][np.arange(p) != 4] == 0.0)
+
+
+class TestNotConverged:
+    # a tiny penalty moves every coefficient in the first sweep, so with
+    # max_iter = 1 no node meets the tolerance
+    TINY = LassoConfig(max_iter=1, lambda_override=np.full(6, 1e-6))
+
+    def test_fit_all_raises_when_no_node_converges(self, rng):
+        d = make_centered(rng.standard_normal((50, 6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            with pytest.raises(NotConverged):
+                fit_all(d, self.TINY)
+
+    def test_only_the_failing_sample_raises(self, rng):
+        samples = [make_centered(rng.standard_normal((50, 6)))
+                   for _ in range(3)]
+        lambdas = [node_penalties(d, self.TINY) for d in samples]
+        lambdas[1] = np.full(6, 1e3)  # nothing moves: converges in one sweep
+        batch = fit_batch(samples, lambdas, self.TINY)
+        for b in (0, 2):
+            with pytest.raises(NotConverged):
+                batch.fit(b)
+        assert np.all(batch.fit(1).iterations == 1)

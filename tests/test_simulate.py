@@ -9,8 +9,8 @@ from precboot.bootstrap import BootstrapConfig
 from precboot.errors import InvalidDimension, InvalidInput
 from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
 from precboot.nodewise import LassoConfig
-from precboot.pipeline import fit_pipeline
-from precboot.simulate import DgpSpec, _replicate_stats, index_set_for, \
+from precboot.pipeline import assemble, fit_pipeline
+from precboot.simulate import DgpSpec, _truth_stats, index_set_for, \
     write_coverage_csv
 
 
@@ -148,10 +148,10 @@ class TestCoverageExperiment:
     def test_programming_error_propagates(self, monkeypatch):
         import precboot.simulate as sim
 
-        def broken(data, cfg):
+        def broken(data, fit):
             raise RuntimeError("bug in the pipeline")
 
-        monkeypatch.setattr(sim, "fit_pipeline", broken)
+        monkeypatch.setattr(sim, "assemble", broken)
         dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
         with pytest.raises(RuntimeError, match="bug in the pipeline"):
             coverage_experiment(dgp, "zeros", replicates=2,
@@ -163,18 +163,84 @@ class TestCoverageExperiment:
 
         calls = []
 
-        def fails_once(data, cfg):
+        def fails_once(data, fit):
             calls.append(1)
             if len(calls) == 4:  # the first estimation replicate
                 raise DegenerateResiduals("a node has zero residuals")
-            return fit_pipeline(data, cfg)
+            return assemble(data, fit)
 
-        monkeypatch.setattr(sim, "fit_pipeline", fails_once)
+        monkeypatch.setattr(sim, "assemble", fails_once)
         dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=2,
                                   boot_cfg=self.small_cfg(), truth_reps=3)
         assert len(calls) == 5
         assert rep.failures == 1
+
+    @pytest.mark.parametrize("rows_per_batch", [1, 3])
+    def test_batch_size_does_not_change_results(self, monkeypatch,
+                                                rows_per_batch):
+        import precboot.simulate as sim
+
+        dgp = DgpSpec("A", 6, 0.3, 50, RngSpec(8, "dgp"))
+        kwargs = dict(replicates=5, boot_cfg=self.small_cfg(), truth_reps=7)
+        whole = coverage_experiment(dgp, "zeros", **kwargs)
+        monkeypatch.setattr(sim, "FIT_BATCH_NODES", rows_per_batch * dgp.p)
+        split = coverage_experiment(dgp, "zeros", **kwargs)
+        assert (whole.mean, whole.sd, whole.failures) \
+            == (split.mean, split.sd, split.failures)
+
+    @pytest.mark.parametrize("where", ["draw", "fit"])
+    def test_failing_replicate_in_a_batch_counts_once(self, monkeypatch,
+                                                      where):
+        # replicate 1 of stage 2 fails, while drawing (non-finite data) or
+        # after the batch solve (no node converged); the other replicates
+        # of its batch must give the same bootstrap draws as without it
+        import precboot.simulate as sim
+        from precboot.core import Dataset
+
+        draws = []
+        real_draws = sim.kmb_draws
+
+        def record(eta, h, cfg, studentized):
+            out = real_draws(eta, h, cfg, studentized)
+            draws.append([r.stats for r in out])
+            return out
+
+        monkeypatch.setattr(sim, "kmb_draws", record)
+        dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
+        kwargs = dict(replicates=4, boot_cfg=self.small_cfg(), truth_reps=3)
+        clean = coverage_experiment(dgp, "zeros", **kwargs)
+        clean_draws, draws[:] = list(draws), []
+        if where == "draw":
+            real_generate = sim.generate
+
+            def generate_nan(spec, *key):
+                data = real_generate(spec, *key)
+                if key == (1, 1):
+                    values = data.values.copy()
+                    values[0, 0] = np.nan
+                    return Dataset(values)
+                return data
+
+            monkeypatch.setattr(sim, "generate", generate_nan)
+        else:
+            real_fit_batch = sim.fit_batch
+            batches = []
+
+            def second_stops_early(samples, lambdas, cfg):
+                batch = real_fit_batch(samples, lambdas, cfg)
+                batches.append(batch)
+                if len(batches) == 2:  # stage 2's only batch
+                    batch.converged[1] = False
+                return batch
+
+            monkeypatch.setattr(sim, "fit_batch", second_stops_early)
+        rep = coverage_experiment(dgp, "zeros", **kwargs)
+        assert clean.failures == 0 and rep.failures == 1
+        assert len(draws) == 3
+        for got, want in zip(draws, clean_draws[:1] + clean_draws[2:]):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
     def test_csv_layout(self, tmp_path):
         dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
@@ -200,8 +266,8 @@ class TestStudentizedScaleTrend:
             truth = omega.values[S.rows(), S.cols()]
             meds = []
             for b in range(20):
-                _, _, med = _replicate_stats(dgp, S, truth, LassoConfig(),
-                                             boot_cfg, 0, b)
+                pipe = fit_pipeline(generate(dgp, 0, b), LassoConfig())
+                _, _, med = _truth_stats(pipe, S, truth, boot_cfg)
                 meds.append(med)
             return np.median(meds)
 
@@ -217,8 +283,8 @@ class TestTruthStage:
         _, omega = build_sigma("A", 10)
         truth = omega.values[S.rows(), S.cols()]
         cfg = BootstrapConfig(rng=RngSpec(0), bandwidth=2.5)
-        _, stud, _ = _replicate_stats(dgp, S, truth, LassoConfig(), cfg, 0, 3)
         pipe = fit_pipeline(generate(dgp, 0, 3))
+        _, stud, _ = _truth_stats(pipe, S, truth, cfg)
         eta, h = pipe.scores(S)
         assert andrews_bandwidth(eta, KernelSpec()) != 2.5
         w = w_diag(eta, h, 2.5, KernelSpec())
