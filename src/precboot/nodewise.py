@@ -235,7 +235,8 @@ def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
 
 
 def fit_all(data: Dataset, cfg: LassoConfig) -> NodewiseFit:
-    """Fit all p node-wise regressions and compute residuals."""
+    """Fit all p node-wise regressions and compute residuals. Warns for
+    each node that did not converge; raises NotConverged if none did."""
     return fit_batch([data], [node_penalties(data, cfg)], cfg).fit(0)
 
 

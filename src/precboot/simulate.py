@@ -28,7 +28,8 @@ KMB = "KMB"
 SKMB = "SKMB"
 # node rows per lockstep solve in coverage_experiment: a batch holds
 # max(1, FIT_BATCH_NODES // p) replicates. Larger batches get slower again
-# (p = 50: 3.7 ms per fit at 32 replicates, 4.5 ms at 256).
+# (p = 50, one BLAS thread on a 2-vCPU VM: 3.7 ms per fit at 32 replicates,
+# 4.5 ms at 256, 25 ms one by one).
 FIT_BATCH_NODES = 2048
 
 
