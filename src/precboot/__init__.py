@@ -39,13 +39,9 @@ from .longrun import (
     kernel_eval,
     w_diag,
 )
-from .nodewise import LassoConfig, NodewiseFit, fit_all, fit_node, kkt_violation
+from .nodewise import LassoConfig, NodewiseFit, fit_all, kkt_violation
 from .pipeline import PipelineFit, fit_pipeline
-from .precision import (
-    estimate_omega,
-    estimate_v,
-    eta_scores,
-)
+from .precision import estimate_omega, estimate_v
 from .simulate import (
     CoverageReport,
     DgpSpec,

@@ -6,9 +6,13 @@ draw's own covariance is the r x r long-run covariance eta' A eta. Two
 routes give that law:
 
   * r >= n: factor A (L L' = A), draw n normals per draw and project
-    g = L z over column blocks of the scores, so no r x r object is formed;
+    g = L z on the scores one block of SCORE_BLOCK columns at a time, so no
+    r x r object and no n x r score matrix is formed;
   * r < n: factor eta' A eta itself (R R' = eta' A eta) and draw r normals
     per draw, so no n x n factor is formed.
+
+The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
+the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
 """
 from __future__ import annotations
 
@@ -18,14 +22,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import precision
 from .core import RngSpec
 from .errors import InvalidInput, InvalidLevel, MissingScale
 from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
     w_diag as w_diag_fn
-from .precision import iter_column_blocks
 
 DRAW_CHUNK = 256
-COLUMN_BLOCK = 8192
 
 
 def check_bandwidth(value: float) -> float:
@@ -103,8 +106,7 @@ def score_mult_factor(eta, s_n: float, kernel: KernelSpec) -> np.ndarray:
     and nothing else. Columns with zero variance get a zero row.
     """
     n = eta.shape[0]
-    x = np.concatenate([cols for _, _, cols in
-                        iter_column_blocks(eta, COLUMN_BLOCK)], axis=1)
+    x = eta[:, :]
     xi = x.T @ (multiplier_cov(n, s_n, kernel) @ x)
     d = np.sqrt(np.clip(np.diagonal(xi), 0.0, None))
     safe = np.where(d > 0.0, d, 1.0)
@@ -125,8 +127,7 @@ def _draw_multipliers(factor: np.ndarray, rng: RngSpec, m_start: int,
 
 
 def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
-              studentized: Sequence[bool] = (False,),
-              column_block: int = COLUMN_BLOCK) -> List[BootstrapResult]:
+              studentized: Sequence[bool] = (False,)) -> List[BootstrapResult]:
     """Run M multiplier-bootstrap draws at the bandwidth
     ``cfg.bandwidth_for(eta)`` and return one result of sorted max statistics
     per entry of ``studentized``, all from the same draws.
@@ -134,7 +135,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     A studentized entry also scales each coordinate by 1/sqrt(w_diag), with
     w_diag estimated at the same bandwidth; its result carries that w_diag.
     With fewer score columns than time points (r < n) the draws come from
-    ``score_mult_factor``, else from ``gaussian_mult_factor``.
+    ``score_mult_factor``, else from ``gaussian_mult_factor``; there each
+    block of score columns is formed once and projected on every draw.
     """
     n, r = eta.shape
     if r < 1:
@@ -144,21 +146,19 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
         else None
     plain = h_diag / math.sqrt(n)
     scales = [plain / np.sqrt(w) if stud else plain for stud in studentized]
-    if r < n:
-        factor = score_mult_factor(eta, s_n, cfg.kernel)
-    else:
-        factor = gaussian_mult_factor(n, s_n, cfg.kernel)
+    factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
+              else gaussian_mult_factor(n, s_n, cfg.kernel))
+    starts = range(0, cfg.M, DRAW_CHUNK)
+    draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
+             for m in starts]
     stats = np.zeros((len(scales), cfg.M))
-    for m_start in range(0, cfg.M, DRAW_CHUNK):
-        m_stop = min(m_start + DRAW_CHUNK, cfg.M)
-        g = _draw_multipliers(factor, cfg.rng, m_start, m_stop)
-        if r < n:  # the draws are already the r projections
-            projections = [(0, r, g)]
-        else:
-            projections = ((start, stop, cols.T @ g) for start, stop, cols
-                           in iter_column_blocks(eta, column_block))
-        for start, stop, proj in projections:
-            for best, scale in zip(stats[:, m_start:m_stop], scales):
+    for start in range(0, r, precision.SCORE_BLOCK):
+        stop = min(start + precision.SCORE_BLOCK, r)
+        cols_t = eta[:, start:stop].T if r >= n else None
+        for m, g in zip(starts, draws):
+            # on the r < n route the draws are already the r projections
+            proj = cols_t @ g if r >= n else g[start:stop]
+            for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
                 np.maximum(best, np.abs(scale[start:stop, None] * proj)
                            .max(axis=0), out=best)
     stats.sort(axis=1)

@@ -23,7 +23,7 @@ from . import __version__
 from .bootstrap import BootstrapConfig, check_bandwidth, confidence_region, \
     kmb_draws, quantile
 from .core import Dataset, IndexSet, RngSpec, center, index_set_all_offdiag, \
-    index_set_from_blocks
+    index_set_from_blocks, index_set_from_mask
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
 from .inference import block_test_matrix, recover_support, test_structure
 from .longrun import KernelSpec
@@ -193,10 +193,10 @@ def parse_index_set(tokens: List[str], p: int,
         mat = _numbers(rest[0], rows)
         if mat.shape != (p, p):
             raise UserError(f"zeros-of matrix must be {p} x {p}")
-        j1, j2 = np.nonzero((mat == 0.0) & ~np.eye(p, dtype=bool))
-        if j1.size == 0:
+        mask = (mat == 0.0) & ~np.eye(p, dtype=bool)
+        if not mask.any():
             raise UserError("zeros-of matrix has no off-diagonal zeros")
-        return IndexSet(np.column_stack([j1 + 1, j2 + 1]))
+        return index_set_from_mask(mask)
     if head == "band-outside":
         if len(rest) != 1:
             raise UserError("band-outside needs one integer argument")
@@ -205,12 +205,11 @@ def parse_index_set(tokens: List[str], p: int,
         except ValueError:
             raise UserError(f"band-outside needs an integer, got {rest[0]!r}") \
                 from None
-        j1, j2 = np.meshgrid(np.arange(1, p + 1), np.arange(1, p + 1),
-                             indexing="ij")
-        mask = np.abs(j1 - j2) > k
+        j = np.arange(p)
+        mask = np.abs(j[:, None] - j[None, :]) > k
         if not mask.any():
             raise UserError(f"band-outside {k} selects no pairs at p = {p}")
-        return IndexSet(np.column_stack([j1[mask], j2[mask]]))
+        return index_set_from_mask(mask)
     if head == "pairs":
         if len(rest) != 1:
             raise UserError("pairs needs one file argument")
@@ -230,10 +229,6 @@ def parse_index_set(tokens: List[str], p: int,
     raise UserError(f"unknown index-set form {head!r}")
 
 
-def _kernel_from(args) -> KernelSpec:
-    return KernelSpec(kind=args.kernel)
-
-
 def _bandwidth_from(args) -> Optional[float]:
     if args.bandwidth == "auto":
         return None
@@ -242,6 +237,12 @@ def _bandwidth_from(args) -> Optional[float]:
     except ValueError as exc:
         raise UserError("--bandwidth must be 'auto' or a positive real") from exc
     return check_bandwidth(value)
+
+
+def _boot_cfg(args) -> BootstrapConfig:
+    return BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
+                           kernel=KernelSpec(kind=args.kernel),
+                           bandwidth=_bandwidth_from(args))
 
 
 def _lasso_from(args) -> LassoConfig:
@@ -271,10 +272,7 @@ def _write_manifest(path, args, extra: dict):
 def _prepare_bootstrap(pipe, S, args):
     """Shared per-run bootstrap: scores and the draws of the chosen variant."""
     eta, h = pipe.scores(S)
-    cfg = BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
-                          kernel=_kernel_from(args),
-                          bandwidth=_bandwidth_from(args))
-    (boot,) = kmb_draws(eta, h, cfg, (args.studentized,))
+    (boot,) = kmb_draws(eta, h, _boot_cfg(args), (args.studentized,))
     return boot
 
 
@@ -284,9 +282,7 @@ def _prepare_bootstrap(pipe, S, args):
 def _cmd_simulate(args) -> int:
     dgp = DgpSpec(structure=args.structure, p=args.p, rho=args.rho, n=args.n,
                   rng=RngSpec(args.seed, "dgp"))
-    boot_cfg = BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
-                               kernel=_kernel_from(args),
-                               bandwidth=_bandwidth_from(args))
+    boot_cfg = _boot_cfg(args)
     sets = ["zeros", "offdiag"] if args.set == "both" else [args.set]
     reports = []
     for choice in sets:
@@ -388,10 +384,7 @@ def _cmd_blocks(args) -> int:
     data, groups, _, pipe = _fit_for(args)
     if not groups:
         raise UserError("blocks needs --group-map (or --groups) labels")
-    cfg = BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
-                          kernel=_kernel_from(args),
-                          bandwidth=_bandwidth_from(args))
-    result = block_test_matrix(data, groups, cfg, alpha=args.fdr,
+    result = block_test_matrix(data, groups, _boot_cfg(args), alpha=args.fdr,
                                include_within=args.within, pipe=pipe,
                                threads=args.threads)
     result.write_csv(args.out)

@@ -78,8 +78,8 @@ class IndexSet:
             raise InvalidDimension("pairs must be a non-empty (r, 2) array")
         if pairs.min() < 1:
             raise InvalidDimension("pair indices are 1-based and must be >= 1")
-        seen = {tuple(row) for row in pairs.tolist()}
-        if len(seen) != pairs.shape[0]:
+        ordered = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
             raise InvalidDimension("pairs must be distinct")
 
     @property
@@ -95,13 +95,16 @@ class IndexSet:
         return self.pairs[:, 1] - 1
 
 
+def index_set_from_mask(mask: np.ndarray) -> IndexSet:
+    """The 1-based (j1, j2) with mask[j1 - 1, j2 - 1] true, row-major."""
+    return IndexSet(np.column_stack(np.nonzero(mask)) + 1)
+
+
 def index_set_all_offdiag(p: int) -> IndexSet:
     """All (j1, j2) with j1 != j2, row-major, r = p(p-1)."""
     if p < 2:
         raise InvalidDimension(f"need p >= 2, got {p}")
-    j1, j2 = np.meshgrid(np.arange(1, p + 1), np.arange(1, p + 1), indexing="ij")
-    mask = j1 != j2
-    return IndexSet(np.column_stack([j1[mask], j2[mask]]))
+    return index_set_from_mask(~np.eye(p, dtype=bool))
 
 
 def index_set_from_blocks(groups, block_pair) -> IndexSet:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import precision
 from .core import IndexSet, SymMatrix
 from .errors import BandwidthFallback, DegenerateVariance, InsufficientData, \
     InvalidInput
-from .precision import iter_column_blocks
 
 QS = "qs"
 BARTLETT = "bartlett"
@@ -65,48 +65,35 @@ def h_diag_from_v(v: SymMatrix, S: IndexSet) -> np.ndarray:
     return 1.0 / (d[S.rows()] * d[S.cols()])
 
 
-def _ar1_summaries(eta, max_columns: int):
-    """Per-column AR(1) lag-1 correlation and innovation variance."""
+def _ar1_summaries(eta):
+    """Per-column AR(1) lag-1 correlation and innovation variance, over at
+    most BANDWIDTH_MAX_COLUMNS evenly spaced columns."""
     n, r = eta.shape
-    if r > max_columns:
-        idx = np.unique(np.linspace(0, r - 1, max_columns).astype(np.int64))
+    if r > BANDWIDTH_MAX_COLUMNS:
+        idx = np.unique(np.linspace(0, r - 1, BANDWIDTH_MAX_COLUMNS)
+                        .astype(np.int64))
     else:
         idx = np.arange(r)
-    rho = []
-    sig2 = []
-    block = 4096
-    for start in range(0, idx.size, block):
-        cols = idx[start:start + block]
-        if isinstance(eta, np.ndarray):
-            x = eta[:, cols]
-        else:
-            # lazy path: columns are contiguous only when r <= max_columns
-            x = np.column_stack([eta.get_block(c, c + 1)[:, 0] for c in cols])
-        x = x - x.mean(axis=0)
-        denom = (x[:-1] ** 2).sum(axis=0)
-        keep = denom > 0.0
-        if not np.any(keep):
-            continue
-        x = x[:, keep]
-        denom = denom[keep]
-        r1 = (x[1:] * x[:-1]).sum(axis=0) / denom
-        r1 = np.clip(r1, -RHO_CLIP, RHO_CLIP)
-        innov = x[1:] - r1[None, :] * x[:-1]
-        s2 = (innov ** 2).sum(axis=0) / (n - 1)
-        rho.append(r1)
-        sig2.append(s2)
-    if not rho:
+    x = eta[:, idx]
+    x = x - x.mean(axis=0)
+    denom = (x[:-1] ** 2).sum(axis=0)
+    keep = denom > 0.0
+    if not np.any(keep):
         return None, None
-    return np.concatenate(rho), np.concatenate(sig2)
+    x = x[:, keep]
+    denom = denom[keep]
+    r1 = (x[1:] * x[:-1]).sum(axis=0) / denom
+    r1 = np.clip(r1, -RHO_CLIP, RHO_CLIP)
+    innov = x[1:] - r1[None, :] * x[:-1]
+    return r1, (innov ** 2).sum(axis=0) / (n - 1)
 
 
-def andrews_bandwidth(eta, kernel: KernelSpec,
-                      max_columns: int = BANDWIDTH_MAX_COLUMNS) -> float:
+def andrews_bandwidth(eta, kernel: KernelSpec) -> float:
     """AR(1) plug-in bandwidth, clipped to [1, 3 n^(1/5)]."""
     n = eta.shape[0]
     if n < 8:
         raise InsufficientData("bandwidth selection needs n >= 8")
-    rho, sig2 = _ar1_summaries(eta, max_columns)
+    rho, sig2 = _ar1_summaries(eta)
     if rho is None:
         warnings.warn("all score columns are constant; bandwidth set to 1",
                       BandwidthFallback)
@@ -139,8 +126,8 @@ def kernel_lag_weights(kernel: KernelSpec, n: int, s_n: float) -> np.ndarray:
     return w
 
 
-def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
-           block: int = 8192) -> np.ndarray:
+def w_diag(eta, h_diag: np.ndarray, s_n: float,
+           kernel: KernelSpec) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
 
     The kernel-weighted autocovariance sum of column x_l is the quadratic
@@ -160,7 +147,9 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float, kernel: KernelSpec,
     chunk = max(1, TOEPLITZ_MAX_ENTRIES // n)
     out = np.empty(r)
     floored = 0
-    for start, stop, cols in iter_column_blocks(eta, block):
+    for start in range(0, r, precision.SCORE_BLOCK):
+        stop = min(start + precision.SCORE_BLOCK, r)
+        cols = eta[:, start:stop]
         quad = np.zeros(stop - start)
         for a in range(0, n, chunk):
             b = min(a + chunk, n)

@@ -65,16 +65,16 @@ def default_lambdas(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     return cfg.lambda_scale * sd * np.sqrt(2.0 * np.log(data.p) / data.n)
 
 
-def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
-                 tol: float, max_iter: int):
+def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
+                 max_iter: int):
     """Cyclic coordinate descent on a stack of Gram matrices gram[b] =
-    Y_b'Y_b/n, for the node rows in ``active`` at once.
+    Y_b'Y_b/n, for all their node rows at once.
 
     Row i = b*p + j is node j of sample b: it minimizes gamma' C_b gamma +
     2*lambdas[i]*sum_{k != j} |gamma_k| over gamma_j = -1. All rows visit
     coordinate k together (covariance updates, Friedman, Hastie & Tibshirani
     2010); q[i] = C_b gamma_i is kept row-major and only the rows whose
-    coefficient k moved are updated. A row leaves ``active`` at the end of
+    coefficient k moved are updated. A row leaves the solve at the end of
     the first sweep whose largest move is below tol. Every step is
     elementwise over rows, so each row does exactly the arithmetic of a
     one-node solve. Returns (gamma, sweeps, converged), one row per node.
@@ -97,7 +97,6 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
     dead_rows = {k: np.repeat(~live[:, k], p) for k in coords
                  if not live[:, k].all()}
     neg_lambdas = -lambdas
-    active = active.copy()
     sweeps = np.zeros(rows_all, dtype=np.int64)
     converged = np.zeros(rows_all, dtype=bool)
     max_delta = np.empty(rows_all)
@@ -105,7 +104,6 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
     new = np.empty(rows_all)
     diff = np.empty(rows_all)
     for sweep in range(1, max_iter + 1):
-        idle = ~active
         max_delta.fill(0.0)
         for k in coords:
             ckk = ckk_all[k]
@@ -119,7 +117,7 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
             new -= partial
             new /= ckk
             np.subtract(new, old, out=diff)
-            diff[idle] = 0.0
+            diff[converged] = 0.0
             diff[k::p] = 0.0
             dead = dead_rows.get(k)
             if dead is not None:
@@ -130,51 +128,15 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, active: np.ndarray,
                 q[rows] += diff[rows, None] * cols
                 gamma[rows, k] = new[rows]
                 np.maximum(max_delta, np.abs(diff, out=diff), out=max_delta)
-        sweeps[active] = sweep
-        done = active & (max_delta < tol)
-        converged |= done
-        active &= ~done
-        if not active.any():
+        sweeps[~converged] = sweep
+        converged |= max_delta < tol
+        if converged.all():
             break
     return gamma, sweeps, converged
 
 
-def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        raise InvalidInput("data contains NaN or infinite values")
-
-
 def _gram(data: Dataset) -> np.ndarray:
     return data.values.T @ data.values / data.n
-
-
-def _warn_not_converged(nodes: np.ndarray, max_iter: int):
-    """One warning per 0-based node in ``nodes``, in the order given."""
-    for j0 in nodes:
-        warnings.warn(
-            f"node {j0 + 1}: coordinate descent not converged after "
-            f"{max_iter} sweeps",
-            ConvergenceWarning,
-        )
-
-
-def fit_node(data: Dataset, j: int, lambda_j: float, cfg: LassoConfig):
-    """Fit the Lasso regression for node j (1-based).
-
-    Returns (gamma, iterations) where gamma has gamma[j-1] = -1.
-    """
-    if not data.centered:
-        raise InsufficientData("fit_node requires centered data")
-    if not 1 <= j <= data.p:
-        raise InvalidInput(f"node index {j} out of range 1..{data.p}")
-    _check_finite(data.values)
-    active = np.arange(data.p) == j - 1
-    gamma, sweeps, converged = _cd_lockstep(
-        _gram(data)[None], np.full(data.p, float(lambda_j)), active, cfg.tol,
-        cfg.max_iter)
-    if not converged[j - 1]:
-        _warn_not_converged([j - 1], cfg.max_iter)
-    return gamma[j - 1], int(sweeps[j - 1])
 
 
 def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
@@ -182,7 +144,8 @@ def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     column without an override) and return its penalties lambda_j."""
     if not data.centered:
         raise InsufficientData("node-wise fits require centered data")
-    _check_finite(data.values)
+    if not np.all(np.isfinite(data.values)):
+        raise InvalidInput("data contains NaN or infinite values")
     return default_lambdas(data, cfg)
 
 
@@ -210,7 +173,9 @@ class NodewiseBatch:
         if not converged.any():
             raise NotConverged(
                 f"no node converged within {self.max_iter} sweeps")
-        _warn_not_converged(np.flatnonzero(~converged), self.max_iter)
+        for j0 in np.flatnonzero(~converged):
+            warnings.warn(f"node {j0 + 1}: coordinate descent not converged "
+                          f"after {self.max_iter} sweeps", ConvergenceWarning)
         alpha = self.alpha[b]
         return NodewiseFit(alpha=alpha, lambdas=self.lambdas[b],
                            residuals=-(self.values[b] @ alpha.T),
@@ -224,9 +189,8 @@ def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
     gram = np.stack([_gram(d) for d in samples])
     lambdas = np.stack(lambdas)
     n_b, p = lambdas.shape
-    alpha, sweeps, converged = _cd_lockstep(
-        gram, lambdas.ravel(), np.ones(n_b * p, dtype=bool), cfg.tol,
-        cfg.max_iter)
+    alpha, sweeps, converged = _cd_lockstep(gram, lambdas.ravel(), cfg.tol,
+                                            cfg.max_iter)
     return NodewiseBatch(
         values=np.stack([d.values for d in samples]),
         alpha=alpha.reshape(n_b, p, p), lambdas=lambdas,

@@ -25,7 +25,8 @@ class PipelineFit:
         return self.omega_hat.values[S.rows(), S.cols()]
 
     def scores(self, S: IndexSet):
-        """(eta, h_diag) for the index set S."""
+        """(eta, h_diag) for the index set S; eta forms its columns when
+        they are read."""
         eta = scores_for(self.fit, self.v_hat, S)
         return eta, h_diag_from_v(self.v_hat, S)
 

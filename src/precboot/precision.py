@@ -4,17 +4,22 @@ The residual cross-moments from penalized node-wise regressions carry a
 first-order bias; the corrected estimator removes it using the fitted
 coefficients, after which the precision matrix follows from diagonal
 rescaling.
+
+The residual-product scores of an index set are never held whole. Readers
+take columns, ``eta[:, cols]``, and each read forms just those columns from
+the residuals; ``w_diag`` and the bootstrap projection stream over all r
+columns a block of ``SCORE_BLOCK`` at a time.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import IndexSet, SymMatrix
-from .errors import DegenerateResiduals
+from .errors import DegenerateResiduals, InvalidInput
 from .nodewise import NodewiseFit
 
-# dense score matrices are materialized only up to this many entries
-DEFAULT_ENTRY_BUDGET = 2**31
+# readers that stream over all r score columns take them this many at a time
+SCORE_BLOCK = 8192
 
 
 def estimate_v(fit: NodewiseFit) -> SymMatrix:
@@ -43,23 +48,15 @@ def estimate_omega(v: SymMatrix) -> SymMatrix:
     return SymMatrix(v.values / np.outer(d, d))
 
 
-def eta_scores(fit: NodewiseFit, v: SymMatrix, S: IndexSet) -> np.ndarray:
-    """n x r matrix of residual-product scores.
+class LazyEta:
+    """The n x r matrix of residual-product scores, formed only where it is
+    read.
 
-    Column l is e_{j1,t} e_{j2,t} - v_{j1,j2} for (j1, j2) = chi(l).  The
+    Column l is e_{j1,t} e_{j2,t} - v_{j1,j2} for (j1, j2) = chi(l). The
     columns are centred at the bias-corrected v_hat, not at their own mean:
     when a_{j1,j2} = a_{j2,j1} = 0 the column mean is exactly -2 v_{j1,j2}.
-    """
-    rows, cols = S.rows(), S.cols()
-    eps = fit.residuals
-    return eps[:, rows] * eps[:, cols] - v.values[rows, cols]
-
-
-class LazyEta:
-    """Column-blockwise view of the score matrix for large index sets.
-
-    Produces exactly the same columns as :func:`eta_scores` without ever
-    materializing the full n x r matrix.
+    ``eta[:, cols]`` forms the columns ``cols`` (a slice or an index array),
+    so readers can take an ndarray or this interchangeably.
     """
 
     def __init__(self, fit: NodewiseFit, v: SymMatrix, S: IndexSet):
@@ -69,28 +66,19 @@ class LazyEta:
         self._cols = S.cols()
         self.shape = (self._eps.shape[0], S.r)
 
-    def get_block(self, start: int, stop: int) -> np.ndarray:
-        rows = self._rows[start:stop]
-        cols = self._cols[start:stop]
-        return self._eps[:, rows] * self._eps[:, cols] - self._v[rows, cols]
+    def __getitem__(self, key) -> np.ndarray:
+        every_row, cols = key
+        rows, cols = self._rows[cols], self._cols[cols]
+        if every_row != slice(None) or rows.ndim != 1:
+            raise InvalidInput("scores are read as eta[:, cols] with cols a "
+                               "slice or an index array")
+        # in place, with the bits of eps[:, rows] * eps[:, cols] - v
+        out = self._eps[:, rows]
+        out *= self._eps[:, cols]
+        out -= self._v[rows, cols]
+        return out
 
 
-def iter_column_blocks(eta, block: int):
-    """Yield (start, stop, block_array) over columns of a dense or lazy
-    score matrix, in a fixed order."""
-    n, r = eta.shape
-    for start in range(0, r, block):
-        stop = min(start + block, r)
-        if isinstance(eta, np.ndarray):
-            yield start, stop, eta[:, start:stop]
-        else:
-            yield start, stop, eta.get_block(start, stop)
-
-
-def scores_for(fit: NodewiseFit, v: SymMatrix, S: IndexSet,
-               entry_budget: int = DEFAULT_ENTRY_BUDGET):
-    """Dense scores when they fit in the entry budget, lazy blocks otherwise."""
-    n = fit.residuals.shape[0]
-    if n * S.r <= entry_budget:
-        return eta_scores(fit, v, S)
+def scores_for(fit: NodewiseFit, v: SymMatrix, S: IndexSet) -> LazyEta:
+    """The scores of the index set S."""
     return LazyEta(fit, v, S)

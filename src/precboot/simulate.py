@@ -15,7 +15,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws, quantile
 from .core import Dataset, IndexSet, RngSpec, SymMatrix, center, \
-    index_set_all_offdiag, map_ordered
+    index_set_all_offdiag, index_set_from_mask, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
     PrecbootError
 from .longrun import w_diag as w_diag_fn
@@ -76,20 +76,14 @@ def build_sigma(structure: str, p: int) -> Tuple[SymMatrix, SymMatrix]:
 
 def true_zero_set(structure: str, p: int) -> IndexSet:
     """Index set of the structurally zero precision entries, row-major."""
-    pairs = []
-    for j1 in range(1, p + 1):
-        for j2 in range(1, p + 1):
-            if j1 == j2:
-                continue
-            if structure == "A":
-                zero = abs(j1 - j2) > 1
-            else:
-                zero = (j1 - 1) // 5 != (j2 - 1) // 5
-            if zero:
-                pairs.append((j1, j2))
-    if not pairs:
+    j = np.arange(p)
+    if structure == "A":
+        mask = np.abs(j[:, None] - j[None, :]) > 1
+    else:
+        mask = j[:, None] // 5 != j[None, :] // 5
+    if not mask.any():
         raise InvalidDimension("no zero entries for this structure/p")
-    return IndexSet(np.asarray(pairs, dtype=np.int64))
+    return index_set_from_mask(mask)
 
 
 def index_set_for(choice: str, structure: str, p: int) -> IndexSet:

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from precboot import Dataset, RngSpec, SymMatrix, center, \
     gaussian_mult_factor, multiplier_cov
+from precboot.errors import ConvergenceWarning
 from precboot.longrun import kernel_lag_weights
+from precboot.nodewise import fit_batch
 
 
 @pytest.fixture
@@ -35,6 +38,18 @@ def gram_dataset(gram, n=4):
 
 # ---------------------------------------------------------------------------
 # reference implementations the package is checked against
+
+def fit_node(data, j, lam, cfg):
+    """(gamma, sweeps) of the Lasso regression of node j (1-based) at the
+    penalty ``lam``: row j - 1 of a lockstep solve of ``data`` with every
+    node at ``lam``, whose rows do exactly the one-node arithmetic. Warns
+    when that node did not converge."""
+    batch = fit_batch([data], [np.full(data.p, float(lam))], cfg)
+    if not batch.converged[0, j - 1]:
+        warnings.warn(f"node {j}: coordinate descent not converged after "
+                      f"{cfg.max_iter} sweeps", ConvergenceWarning)
+    return batch.alpha[0, j - 1], int(batch.iterations[0, j - 1])
+
 
 def draw_vectors(eta, h_diag, cfg, w=None, n_by_n=None):
     """Full r x M matrix of bootstrap vectors at the fixed ``cfg.bandwidth``,

@@ -17,12 +17,11 @@ from precboot.inference import test_structure as structure_test
 from precboot.bootstrap import BootstrapConfig, kmb_draws
 from precboot.core import IndexSet, index_set_all_offdiag
 from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v
-from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas, \
-    fit_node
+from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas
 from precboot.pipeline import fit_pipeline
 from precboot.simulate import DgpSpec, build_sigma, true_zero_set
 
-from conftest import xi_hat
+from conftest import fit_node, xi_hat
 
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
 
@@ -39,7 +38,7 @@ def coverage_run(rho, seed):
 class TestCriterion1CoverageIid:
     # Known red on the studentized half: KMB coverage lands inside its band,
     # SKMB coverage is 0.9940 against an upper bound of 0.99.  Cause:
-    # eta_scores centres e_{j1,t} e_{j2,t} at the bias-corrected v_hat, not at
+    # the scores centre e_{j1,t} e_{j2,t} at the bias-corrected v_hat, not at
     # the column mean.  When both Lasso coefficients of a pair are zero the
     # column mean is -2 v_hat = -2 (omega_hat - omega) / h exactly (median
     # ratio -2.000 at this cell), and w_diag does not demean, so w_hat

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from precboot import RngSpec, confidence_region, gaussian_mult_factor, \
-    kmb_draws, multiplier_cov, quantile
+from precboot import Dataset, RngSpec, center, confidence_region, \
+    fit_pipeline, gaussian_mult_factor, index_set_all_offdiag, kmb_draws, \
+    multiplier_cov, precision, quantile
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, MissingScale
@@ -54,17 +56,6 @@ def serially_dependent(rng, n, r, phi=0.5):
     for t in range(1, n):
         e[t] += phi * e[t - 1]
     return e
-
-
-class LazyScores:
-    """A score source that hands out column blocks, like LazyEta."""
-
-    def __init__(self, eta):
-        self._eta = eta
-        self.shape = eta.shape
-
-    def get_block(self, start, stop):
-        return self._eta[:, start:stop].copy()
 
 
 class TestScoreMultFactor:
@@ -137,11 +128,12 @@ class TestKmbDraws:
         (b,) = kmb_draws(eta, np.ones(3), cfg)
         np.testing.assert_array_equal(a.stats, b.stats)
 
-    def test_block_size_does_not_change_results(self, rng):
+    def test_block_size_does_not_change_results(self, rng, monkeypatch):
         eta = rng.standard_normal((25, 7))
         cfg = BootstrapConfig(rng=RngSpec(11), M=32, bandwidth=1.5)
-        a = kmb_draws(eta, np.ones(7), cfg, (False, True), column_block=2)
-        b = kmb_draws(eta, np.ones(7), cfg, (False, True), column_block=100)
+        b = kmb_draws(eta, np.ones(7), cfg, (False, True))
+        monkeypatch.setattr(precision, "SCORE_BLOCK", 2)
+        a = kmb_draws(eta, np.ones(7), cfg, (False, True))
         # block partitioning changes BLAS accumulation order, so agreement is
         # to rounding, not bitwise; bitwise determinism is guaranteed for the
         # fixed default block size
@@ -181,15 +173,53 @@ class TestKmbDraws:
                     np.testing.assert_array_equal(
                         np.sort(np.abs(vectors).max(axis=0)), res.stats)
 
-    def test_lazy_scores_match_dense(self, rng):
-        # both routes: the r x r factor densifies lazy scores block by block
-        cfg = BootstrapConfig(rng=RngSpec(5), M=40, bandwidth=2.0)
-        for n, r in ((30, 6), (6, 30)):
-            eta = rng.standard_normal((n, r))
-            h = rng.uniform(0.5, 2.0, r)
-            for a, b in zip(kmb_draws(eta, h, cfg, (False, True)),
-                            kmb_draws(LazyScores(eta), h, cfg, (False, True))):
+    def test_lazy_scores_match_dense(self, rng, monkeypatch):
+        # the bandwidth, w_diag and the draws, on both routes and with both
+        # kernels, are bitwise the same read from the lazy scores and from
+        # all of them formed at once, block by block; against the default
+        # block they agree to rounding (BLAS accumulation order)
+        S = index_set_all_offdiag(6)  # r = 30
+        cases = []
+        for n in (60, 20):  # r < n, then r >= n
+            y = serially_dependent(rng, n, 6)
+            eta, h = fit_pipeline(center(Dataset(y))).scores(S)
+            for kernel in (QS, BART):
+                cfg = BootstrapConfig(rng=RngSpec(5), M=300, kernel=kernel)
+                cases.append((eta, h, cfg,
+                              kmb_draws(eta, h, cfg, (False, True))))
+        monkeypatch.setattr(precision, "SCORE_BLOCK", 7)
+        for eta, h, cfg, want in cases:
+            lazy = kmb_draws(eta, h, cfg, (False, True))
+            dense = kmb_draws(eta[:, :], h, cfg, (False, True))
+            for a, b, c in zip(lazy, dense, want):
+                assert a.bandwidth == b.bandwidth == c.bandwidth
                 np.testing.assert_array_equal(a.stats, b.stats)
+                np.testing.assert_allclose(a.stats, c.stats, rtol=1e-12)
+            np.testing.assert_array_equal(lazy[1].w_diag, dense[1].w_diag)
+            np.testing.assert_allclose(lazy[1].w_diag, want[1].w_diag,
+                                       rtol=1e-12)
+
+    def test_scores_are_never_held_whole(self, monkeypatch):
+        # p = 120, n = 100 offdiag: r = 14,280 columns, 11.4 MB of scores if
+        # they were formed at once; read a block at a time, the draws hold a
+        # few n x SCORE_BLOCK blocks besides their length-r vectors (pair
+        # indices, h, scales, w_diag)
+        monkeypatch.setattr(precision, "SCORE_BLOCK", 512)
+        n, p = 100, 120
+        y = serially_dependent(np.random.default_rng(3), n, p)
+        pipe = fit_pipeline(center(Dataset(y)))
+        S = index_set_all_offdiag(p)
+        cfg = BootstrapConfig(rng=RngSpec(4), M=20, bandwidth=2.0)
+        bound = 4 * n * precision.SCORE_BLOCK * 8 + 8 * S.r * 8
+        assert bound < n * S.r * 8 / 4
+        tracemalloc.start()
+        try:
+            eta, h = pipe.scores(S)
+            kmb_draws(eta, h, cfg, (False, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_dual_matches_separate_runs(self, rng):
         eta = rng.standard_normal((30, 5))

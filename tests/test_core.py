@@ -3,6 +3,7 @@ import pytest
 
 from precboot import (Dataset, IndexSet, RngSpec, SymMatrix, center,
                       index_set_all_offdiag, index_set_from_blocks)
+from precboot.core import index_set_from_mask
 from precboot.errors import EmptyBlock, InsufficientData, InvalidDimension
 
 
@@ -49,6 +50,9 @@ class TestIndexSet:
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidDimension):
             IndexSet(np.array([[1, 2], [1, 2]]))
+        with pytest.raises(InvalidDimension):  # not adjacent
+            IndexSet(np.array([[3, 1], [1, 2], [2, 2], [3, 1]]))
+        IndexSet(np.array([[2, 1], [1, 2]]))  # a swapped pair is distinct
 
     def test_rejects_zero_index(self):
         with pytest.raises(InvalidDimension):
@@ -68,6 +72,16 @@ class TestOffdiagSet:
     def test_small_p_rejected(self):
         with pytest.raises(InvalidDimension):
             index_set_all_offdiag(1)
+
+
+class TestMaskSet:
+    def test_row_major_pairs_of_true_entries(self, rng):
+        for p in (2, 3, 7):
+            mask = rng.random((p, p)) < 0.5
+            mask[0, -1] = True
+            S = index_set_from_mask(mask)
+            assert S.pairs.tolist() == [[j1 + 1, j2 + 1] for j1 in range(p)
+                                        for j2 in range(p) if mask[j1, j2]]
 
 
 class TestBlockSet:

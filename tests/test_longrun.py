@@ -53,7 +53,7 @@ class TestBandwidth:
     def test_no_persistence_hits_lower_clip(self, monkeypatch):
         import precboot.longrun as lr
         monkeypatch.setattr(lr, "_ar1_summaries",
-                            lambda eta, mc: (np.zeros(3), np.ones(3)))
+                            lambda eta: (np.zeros(3), np.ones(3)))
         assert andrews_bandwidth(np.zeros((500, 3)), QS) == 1.0
 
     def test_iid_columns_stay_small(self, rng):
@@ -65,7 +65,7 @@ class TestBandwidth:
     def test_plugin_formula_qs(self, monkeypatch):
         import precboot.longrun as lr
         monkeypatch.setattr(lr, "_ar1_summaries",
-                            lambda eta, mc: (np.array([0.5]), np.array([1.0])))
+                            lambda eta: (np.array([0.5]), np.array([1.0])))
         eta = np.zeros((300, 1))
         # alpha(2) = (4*0.25/0.5^8) / (1/0.5^4) = 16; 1.3221*(16*300)^(1/5)
         assert andrews_bandwidth(eta, QS) == pytest.approx(
@@ -74,7 +74,7 @@ class TestBandwidth:
     def test_plugin_formula_bartlett(self, monkeypatch):
         import precboot.longrun as lr
         monkeypatch.setattr(lr, "_ar1_summaries",
-                            lambda eta, mc: (np.array([0.5]), np.array([1.0])))
+                            lambda eta: (np.array([0.5]), np.array([1.0])))
         eta = np.zeros((300, 1))
         a1 = (4 * 0.25 / (0.5 ** 6 * 1.5 ** 2)) / (1 / 0.5 ** 4)
         expected = 1.1447 * (a1 * 300) ** (1 / 3)
@@ -84,7 +84,7 @@ class TestBandwidth:
     def test_upper_clip(self, monkeypatch):
         import precboot.longrun as lr
         monkeypatch.setattr(lr, "_ar1_summaries",
-                            lambda eta, mc: (np.array([0.96]), np.array([1.0])))
+                            lambda eta: (np.array([0.96]), np.array([1.0])))
         eta = np.zeros((300, 1))
         assert andrews_bandwidth(eta, QS) == pytest.approx(3.0 * 300 ** 0.2)
 
@@ -246,20 +246,23 @@ class TestWDiagOracle:
         np.testing.assert_array_equal(w[[1, 4, 5]], W_FLOOR_EPS ** 2)
         assert np.all(w[[0, 2, 3, 6]] > W_FLOOR_EPS)
 
-    def test_lazy_scores_match_dense(self, rng):
-        from precboot import center, fit_pipeline
+    def test_lazy_scores_match_dense(self, rng, monkeypatch):
+        from precboot import center, fit_pipeline, precision
         from precboot.core import Dataset, index_set_all_offdiag
-        from precboot.precision import LazyEta, eta_scores
 
         pipe = fit_pipeline(center(Dataset(rng.standard_normal((60, 6)))))
-        S = index_set_all_offdiag(6)
-        h = h_diag_from_v(pipe.v_hat, S)
-        dense = eta_scores(pipe.fit, pipe.v_hat, S)
-        lazy = LazyEta(pipe.fit, pipe.v_hat, S)
-        np.testing.assert_array_equal(w_diag(lazy, h, 2.0, QS, block=7),
-                                      w_diag(dense, h, 2.0, QS, block=7))
-        np.testing.assert_allclose(w_diag(lazy, h, 2.0, QS, block=7),
-                                   w_diag(dense, h, 2.0, QS), rtol=1e-13)
+        lazy, h = pipe.scores(index_set_all_offdiag(6))
+        dense = lazy[:, :]
+        for spec in (QS, BART):
+            want = w_diag(lazy, h, 2.0, spec)
+            bandwidth = andrews_bandwidth(lazy, spec)
+            with monkeypatch.context() as m:
+                m.setattr(precision, "SCORE_BLOCK", 7)
+                got = w_diag(lazy, h, 2.0, spec)
+                np.testing.assert_array_equal(got, w_diag(dense, h, 2.0, spec))
+                assert andrews_bandwidth(lazy, spec) == bandwidth
+                assert andrews_bandwidth(dense, spec) == bandwidth
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 class TestHDiag:

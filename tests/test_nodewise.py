@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from precboot import Dataset, center, fit_all, fit_node, kkt_violation
+from precboot import Dataset, center, fit_all, kkt_violation
 from precboot.errors import ConvergenceWarning, DegenerateColumn, \
     InsufficientData, InvalidInput, NotConverged
 from precboot.nodewise import LassoConfig, default_lambdas, fit_batch, \
     node_penalties
 
-from conftest import gram_dataset, make_centered
+from conftest import fit_node, gram_dataset, make_centered
 
 
 class TestDefaultLambdas:
@@ -36,6 +36,9 @@ class TestDefaultLambdas:
 
 
 class TestFitNode:
+    """One node's solve (the reference ``fit_node``, a row of the lockstep
+    solve) and the input checks of ``fit_all``."""
+
     def test_soft_threshold_closed_form(self):
         d = gram_dataset([[1.0, 0.5], [0.5, 1.0]])
         gamma, _ = fit_node(d, 1, 0.2, LassoConfig(tol=1e-12))
@@ -57,18 +60,13 @@ class TestFitNode:
     def test_requires_centered(self, rng):
         d = Dataset(rng.standard_normal((10, 2)) + 5.0)
         with pytest.raises(InsufficientData):
-            fit_node(d, 1, 0.1, LassoConfig())
-
-    def test_index_out_of_range(self, rng):
-        d = make_centered(rng.standard_normal((10, 2)))
-        with pytest.raises(InvalidInput):
-            fit_node(d, 3, 0.1, LassoConfig())
+            fit_all(d, LassoConfig())
 
     def test_nan_rejected(self):
         values = np.zeros((10, 2))
         values[0, 0] = np.nan
         with pytest.raises(InvalidInput):
-            fit_node(Dataset(values, centered=True), 1, 0.1, LassoConfig())
+            fit_all(Dataset(values, centered=True), LassoConfig())
 
 
 class TestFitAll:
@@ -313,6 +311,21 @@ class TestLockstepMatchesScalarCd:
             gamma, sweeps = fit_node(d, j, float(lam[j - 1]), cfg)
             assert_bitwise_equal(gamma, fit.alpha[j - 1])
             assert sweeps == fit.iterations[j - 1]
+        # the reference fit_node does the one-node arithmetic, and warns
+        # exactly when its node runs out of sweeps (here below 11)
+        gram = d.values.T @ d.values / d.n
+        for max_iter in (1, 2, 5, 20):
+            short = LassoConfig(max_iter=max_iter)
+            for j in (1, 5):
+                want, want_sweeps, ok = scalar_cd(gram, j - 1, 0.01,
+                                                  short.tol, max_iter)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    gamma, sweeps = fit_node(d, j, 0.01, short)
+                assert_bitwise_equal(gamma, want)
+                assert sweeps == want_sweeps
+                assert [str(w.message) for w in caught] == (
+                    [] if ok else not_converged_messages([j], max_iter))
 
     def test_batch_of_samples_matches_one_by_one(self, rng):
         # one lockstep solve over several samples of one shape: each sample's

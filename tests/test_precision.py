@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from precboot import SymMatrix, estimate_omega, estimate_v, eta_scores
+from precboot import SymMatrix, estimate_omega, estimate_v
 from precboot.core import IndexSet
-from precboot.errors import DegenerateResiduals
+from precboot.errors import DegenerateResiduals, InvalidInput
 from precboot.nodewise import NodewiseFit
-from precboot.precision import LazyEta, iter_column_blocks, scores_for
+from precboot.precision import scores_for
 
 
 def make_fit(residuals, alpha=None):
@@ -70,6 +70,11 @@ class TestEstimateOmega:
             estimate_omega(SymMatrix(np.array([[0.0, 0.0], [0.0, 1.0]])))
 
 
+def eta_scores(fit, v, S):
+    """All n x r scores at once."""
+    return scores_for(fit, v, S)[:, :]
+
+
 class TestEtaScores:
     def test_diagonal_pair_mean_zero(self, rng):
         eps = rng.standard_normal((25, 3))
@@ -98,25 +103,24 @@ class TestLazyPath:
         fit = make_fit(eps)
         v = estimate_v(fit)
         S = IndexSet(np.array([[1, 2], [3, 4], [5, 6], [2, 5]]))
-        dense = eta_scores(fit, v, S)
-        lazy = LazyEta(fit, v, S)
+        rows, cols = S.rows(), S.cols()
+        dense = eps[:, rows] * eps[:, cols] - v.values[rows, cols]
+        eps = eps.copy()
+        lazy = scores_for(fit, v, S)
         assert lazy.shape == dense.shape
-        np.testing.assert_array_equal(lazy.get_block(1, 3), dense[:, 1:3])
+        np.testing.assert_array_equal(lazy[:, 1:3], dense[:, 1:3])
+        np.testing.assert_array_equal(lazy[:, [3, 0]], dense[:, [3, 0]])
+        np.testing.assert_array_equal(lazy[:, :], dense)
+        # reading the scores leaves the residuals they are formed from alone
+        np.testing.assert_array_equal(fit.residuals, eps)
 
-    def test_budget_switch(self, rng):
-        eps = rng.standard_normal((20, 4))
-        fit = make_fit(eps)
-        v = estimate_v(fit)
-        S = IndexSet(np.array([[1, 2], [3, 4]]))
-        assert isinstance(scores_for(fit, v, S), np.ndarray)
-        assert isinstance(scores_for(fit, v, S, entry_budget=10), LazyEta)
-
-    def test_block_iteration_covers_everything(self, rng):
-        eta = rng.standard_normal((10, 7))
-        rebuilt = np.empty_like(eta)
-        for start, stop, cols in iter_column_blocks(eta, 3):
-            rebuilt[:, start:stop] = cols
-        np.testing.assert_array_equal(rebuilt, eta)
+    @pytest.mark.parametrize("key", [(slice(0, 2), slice(None)),
+                                     (slice(None), 0), 0])
+    def test_only_whole_columns_are_read(self, rng, key):
+        fit = make_fit(rng.standard_normal((20, 4)))
+        eta = scores_for(fit, estimate_v(fit), IndexSet(np.array([[1, 2]])))
+        with pytest.raises((InvalidInput, TypeError)):
+            eta[key]
 
 
 class TestOracleConsistency:

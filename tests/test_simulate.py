@@ -56,6 +56,19 @@ class TestZeroSet:
             assert (j1 - 1) // 5 != (j2 - 1) // 5
         assert S.r == 50  # 2 * 5 * 5 cross-block entries
 
+    def test_pairs_match_double_loop(self):
+        for structure, rule in (("A", lambda a, b: abs(a - b) > 1),
+                                ("B", lambda a, b: a // 5 != b // 5)):
+            for p in (6, 11, 17):
+                expected = [[a + 1, b + 1] for a in range(p) for b in range(p)
+                            if a != b and rule(a, b)]
+                assert true_zero_set(structure, p).pairs.tolist() == expected
+
+    @pytest.mark.parametrize("structure, p", [("A", 2), ("B", 5)])
+    def test_no_zero_entries_rejected(self, structure, p):
+        with pytest.raises(InvalidDimension):
+            true_zero_set(structure, p)
+
     def test_zero_entries_are_truly_zero(self):
         for structure, p in (("A", 12), ("B", 15)):
             _, omega = build_sigma(structure, p)
