@@ -26,7 +26,7 @@ from . import precision
 from .core import RngSpec
 from .errors import InvalidInput, InvalidLevel, MissingScale
 from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
-    w_diag as w_diag_fn
+    lag_toeplitz, w_diag as w_diag_fn
 
 DRAW_CHUNK = 256
 
@@ -76,10 +76,9 @@ class BootstrapResult:
 
 def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
     """The n x n multiplier covariance A with A[i, j] = K(|i-j|/S_n)."""
-    idx = np.arange(n)
     # A is Toeplitz: evaluate K once per lag, then spread it by |i - j|
-    by_lag = kernel_eval(kernel, idx / s_n)
-    return by_lag[np.abs(idx[:, None] - idx[None, :])]
+    by_lag = kernel_eval(kernel, np.arange(n) / s_n)
+    return lag_toeplitz(by_lag).copy()
 
 
 def gaussian_mult_factor(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
@@ -156,11 +155,12 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
         stop = min(start + precision.SCORE_BLOCK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
-            # on the r < n route the draws are already the r projections
-            proj = cols_t @ g if r >= n else g[start:stop]
+            # on the r < n route the draws are already the r projections;
+            # |s x| == s |x| for s > 0, so one abs serves every scale
+            mag = np.abs(cols_t @ g if r >= n else g[start:stop])
             for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
-                np.maximum(best, np.abs(scale[start:stop, None] * proj)
-                           .max(axis=0), out=best)
+                np.maximum(best, (scale[start:stop, None] * mag).max(axis=0),
+                           out=best)
     stats.sort(axis=1)
     return [BootstrapResult(stats=row, bandwidth=float(s_n), studentized=stud,
                             rng=cfg.rng, w_diag=w if stud else None)

@@ -91,24 +91,31 @@ def ingest_returns(spec: ReturnsSpec):
     if n_prices < 2:
         raise InvalidInput("need at least two price rows to form returns")
     prices = np.empty((n_prices, len(symbols)))
-    for i, row in enumerate(rows):
+    try:
+        for price_row, row in zip(prices, rows):
+            if len(row) != len(symbols):
+                raise ValueError("ragged row")
+            price_row[:] = [float(cell) for cell in row]
+        valid = bool(np.all((prices > 0.0) & (prices < np.inf)))
+    except ValueError:
+        valid = False
+    # on any bad cell, go cell by cell to report the first one
+    for i, row in enumerate([] if valid else rows, start=2):
         if len(row) != len(symbols):
-            raise MissingValue(f"row {i + 2} has {len(row)} cells, "
+            raise MissingValue(f"row {i} has {len(row)} cells, "
                                f"expected {len(symbols)}")
-        for j, cell in enumerate(row):
+        for sym, cell in zip(symbols, row):
             cell = cell.strip()
             if cell == "" or cell.upper() == "NA":
-                raise MissingValue(f"missing price at row {i + 2}, "
-                                   f"symbol {symbols[j]}")
+                raise MissingValue(f"missing price at row {i}, symbol {sym}")
             try:
                 value = float(cell)
             except ValueError:
-                raise UserError(f"{spec.price_csv}: row {i + 2}, symbol "
-                                f"{symbols[j]}: not a number: {cell!r}") from None
-            if value <= 0.0:
-                raise InvalidPrice(f"non-positive price at row {i + 2}, "
-                                   f"symbol {symbols[j]}")
-            prices[i, j] = value
+                raise UserError(f"{spec.price_csv}: row {i}, symbol {sym}: "
+                                f"not a number: {cell!r}") from None
+            if not 0.0 < value < math.inf:
+                kind = "non-positive" if value <= 0.0 else "non-finite"
+                raise InvalidPrice(f"{kind} price at row {i}, symbol {sym}")
 
     if spec.log_returns:
         returns = np.diff(np.log(prices), axis=0)

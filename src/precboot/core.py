@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,7 @@ class RngSpec:
     seed: int
     stream: str = ""
 
+    @cached_property
     def _stream_key(self) -> int:
         digest = hashlib.blake2b(self.stream.encode(), digest_size=4).digest()
         return int.from_bytes(digest, "little")
@@ -165,14 +167,14 @@ class RngSpec:
     def generator(self, *key: int) -> np.random.Generator:
         """A generator for the substream identified by ``key``."""
         ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self._stream_key(), *key)
+            entropy=self.seed, spawn_key=(self._stream_key, *key)
         )
         return np.random.default_rng(ss)
 
     def child(self, *key: int) -> "RngSpec":
         """Derive an independent child spec (for nested substreams)."""
         ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self._stream_key(), *key)
+            entropy=self.seed, spawn_key=(self._stream_key, *key)
         )
         new_seed = int(ss.generate_state(1, np.uint64)[0])
         label = self.stream + "/" + "-".join(str(k) for k in key)

@@ -23,7 +23,7 @@ BARTLETT = "bartlett"
 # columns used for bandwidth selection at huge r (evenly spaced, deterministic)
 BANDWIDTH_MAX_COLUMNS = 5000
 
-# w_diag builds its lag-weight matrix in row chunks of at most this many
+# w_diag copies its lag-weight matrix out in row chunks of at most this many
 # entries (32 MB); up to n = 2048 that is one chunk
 TOEPLITZ_MAX_ENTRIES = 2**22
 
@@ -74,18 +74,21 @@ def _ar1_summaries(eta):
                         .astype(np.int64))
     else:
         idx = np.arange(r)
+    # x is a gathered copy, so the in-place steps never touch eta; buf takes
+    # x's layout, so each sum runs in the order of the broadcast form
     x = eta[:, idx]
-    x = x - x.mean(axis=0)
-    denom = (x[:-1] ** 2).sum(axis=0)
+    x -= x.mean(axis=0)
+    buf = np.empty_like(x[1:])
+    denom = np.square(x[:-1], out=buf).sum(axis=0)
     keep = denom > 0.0
     if not np.any(keep):
         return None, None
-    x = x[:, keep]
-    denom = denom[keep]
-    r1 = (x[1:] * x[:-1]).sum(axis=0) / denom
+    if not np.all(keep):
+        x, denom, buf = x[:, keep], denom[keep], buf[:, keep]
+    r1 = np.multiply(x[1:], x[:-1], out=buf).sum(axis=0) / denom
     r1 = np.clip(r1, -RHO_CLIP, RHO_CLIP)
-    innov = x[1:] - r1[None, :] * x[:-1]
-    return r1, (innov ** 2).sum(axis=0) / (n - 1)
+    innov = np.subtract(x[1:], np.multiply(r1, x[:-1], out=buf), out=buf)
+    return r1, np.square(innov, out=buf).sum(axis=0) / (n - 1)
 
 
 def andrews_bandwidth(eta, kernel: KernelSpec) -> float:
@@ -126,15 +129,27 @@ def kernel_lag_weights(kernel: KernelSpec, n: int, s_n: float) -> np.ndarray:
     return w
 
 
+def lag_toeplitz(w: np.ndarray) -> np.ndarray:
+    """T[i, j] = w[|i - j|] for a by-lag vector w of length n: a read-only
+    n x n view with a negative row stride. Copy it (or a block of it) to C
+    order before a matrix product, so that the product does not depend on
+    how NumPy treats that stride."""
+    n = w.shape[0]
+    mirrored = np.concatenate([w[:0:-1], w])
+    # [:n] only cuts the one empty window that n = 0 gives
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1][:n]
+
+
 def w_diag(eta, h_diag: np.ndarray, s_n: float,
            kernel: KernelSpec) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
 
     The kernel-weighted autocovariance sum of column x_l is the quadratic
     form x_l' T x_l / n with T[t, s] = K(|t - s| / S_n), so W_ll = h_l^2
-    x_l' T x_l / n: a matrix product per column block. T is built in row
-    chunks of at most TOEPLITZ_MAX_ENTRIES entries, each restricted to the
-    band of lags that carry weight, so memory stays bounded at large n.
+    x_l' T x_l / n: a matrix product per column block. T is the strided
+    view of ``lag_toeplitz``, copied out in row chunks of at most
+    TOEPLITZ_MAX_ENTRIES entries, each restricted to the band of lags that
+    carry weight, so memory stays bounded at large n.
 
     Non-positive entries are floored at W_FLOOR_EPS times the lag-0 value and
     a DegenerateVariance warning is emitted.
@@ -143,6 +158,7 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float,
     if h_diag.shape != (r,):
         raise InvalidInput("h_diag length must match the number of score columns")
     weights = kernel_lag_weights(kernel, n, s_n)
+    toeplitz = lag_toeplitz(weights)
     reach = int(np.flatnonzero(weights)[-1])
     chunk = max(1, TOEPLITZ_MAX_ENTRIES // n)
     out = np.empty(r)
@@ -154,8 +170,7 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float,
         for a in range(0, n, chunk):
             b = min(a + chunk, n)
             lo, hi = max(0, a - reach), min(n, b + reach)
-            t_rows = weights[np.abs(np.arange(a, b)[:, None]
-                                    - np.arange(lo, hi)[None, :])]
+            t_rows = np.ascontiguousarray(toeplitz[a:b, lo:hi])
             quad += (cols[a:b] * (t_rows @ cols[lo:hi])).sum(axis=0)
         h2 = h_diag[start:stop] ** 2
         w = h2 * quad / n

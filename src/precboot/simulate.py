@@ -18,7 +18,7 @@ from .core import Dataset, IndexSet, RngSpec, SymMatrix, center, \
     index_set_all_offdiag, index_set_from_mask, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
     PrecbootError
-from .longrun import w_diag as w_diag_fn
+from .longrun import lag_toeplitz, w_diag as w_diag_fn
 from .nodewise import LassoConfig, fit_batch, node_penalties
 from .pipeline import PipelineFit, assemble
 
@@ -52,8 +52,7 @@ class DgpSpec:
 
 def _sigma_star(structure: str, p: int) -> np.ndarray:
     if structure == "A":
-        idx = np.arange(p)
-        return 0.5 ** np.abs(idx[:, None] - idx[None, :])
+        return lag_toeplitz(0.5 ** np.arange(p)).copy()
     if p % 5 != 0:
         raise InvalidDimension("structure B needs p divisible by 5")
     sigma = np.eye(p)

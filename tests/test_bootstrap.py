@@ -10,7 +10,8 @@ from precboot import Dataset, RngSpec, center, confidence_region, \
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, MissingScale
-from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
+from precboot.longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
+    w_diag
 
 from conftest import draw_vectors
 
@@ -48,6 +49,18 @@ class TestMultiplierFactor:
     def test_invalid_n(self):
         with pytest.raises(InvalidInput):
             gaussian_mult_factor(0, 1.0, QS)
+
+    @pytest.mark.parametrize("spec", [QS, QS_EXACT, BART],
+                             ids=["qs", "qs-exact", "bartlett"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 150, 500])
+    def test_cov_equals_index_matrix(self, spec, n):
+        # the parent's form: K evaluated per lag, spread by |i - j|
+        idx = np.arange(n)
+        by_lag = kernel_eval(spec, idx / 2.3)
+        a = multiplier_cov(n, 2.3, spec)
+        np.testing.assert_array_equal(
+            a, by_lag[np.abs(idx[:, None] - idx[None, :])])
+        assert a.flags.c_contiguous and a.flags.writeable
 
 
 def serially_dependent(rng, n, r, phi=0.5):

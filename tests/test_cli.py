@@ -73,6 +73,32 @@ class TestIngestReturns:
         with pytest.raises(InvalidPrice):
             ingest_returns(ReturnsSpec(str(path)))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_price_names_row_and_symbol(self, tmp_path, cell):
+        path = self.write_prices(tmp_path, ["A", "B"],
+                                 [[1, 1], [2, 2], [3, cell], [3, 4]])
+        with pytest.raises(InvalidPrice, match="price at row 4, symbol B$"):
+            ingest_returns(ReturnsSpec(str(path)))
+
+    def test_first_bad_cell_reported(self, tmp_path):
+        path = self.write_prices(tmp_path, ["A", "B"],
+                                 [[1, 1], [2, "nan"], [0, 2], [3, 4]])
+        with pytest.raises(InvalidPrice,
+                           match="^non-finite price at row 3, symbol B$"):
+            ingest_returns(ReturnsSpec(str(path)))
+        path = self.write_prices(tmp_path, ["A", "B"],
+                                 [[1, 1], [-2, 2], [1, "x"], [3, 4]])
+        with pytest.raises(InvalidPrice,
+                           match="^non-positive price at row 3, symbol A$"):
+            ingest_returns(ReturnsSpec(str(path)))
+
+    def test_one_cell_row_is_not_broadcast(self, tmp_path):
+        path = self.write_prices(tmp_path, ["A", "B"],
+                                 [[1, 1], [2], [2, 3], [3, 4]])
+        with pytest.raises(MissingValue,
+                           match="^row 3 has 1 cells, expected 2$"):
+            ingest_returns(ReturnsSpec(str(path)))
+
     def test_missing_cell(self, tmp_path):
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], ["", 2], [2, 3], [3, 4]])

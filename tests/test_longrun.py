@@ -271,3 +271,106 @@ class TestHDiag:
         S = IndexSet(np.array([[1, 2], [3, 3]]))
         np.testing.assert_allclose(h_diag_from_v(v, S), [1 / 8.0, 1 / 25.0],
                                    atol=1e-15)
+
+
+def index_toeplitz(w):
+    """w spread by |i - j| through an index matrix: the reference form of
+    the Toeplitz lag-weight matrix."""
+    idx = np.arange(w.shape[0])
+    return w[np.abs(idx[:, None] - idx[None, :])]
+
+
+def index_w_diag(eta, h_diag, s_n, kernel):
+    """w_diag with each row chunk of T gathered through an index matrix,
+    the reference for the strided-view form."""
+    import precboot.longrun as lr
+    n, r = eta.shape
+    weights = kernel_lag_weights(kernel, n, s_n)
+    reach = int(np.flatnonzero(weights)[-1])
+    chunk = max(1, lr.TOEPLITZ_MAX_ENTRIES // n)
+    quad = np.zeros(r)
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        lo, hi = max(0, a - reach), min(n, b + reach)
+        t_rows = weights[np.abs(np.arange(a, b)[:, None]
+                                - np.arange(lo, hi)[None, :])]
+        quad += (eta[a:b] * (t_rows @ eta[lo:hi])).sum(axis=0)
+    h2 = h_diag ** 2
+    w = h2 * quad / n
+    base = h2 * (eta * eta).sum(axis=0) / n
+    floor = lr.W_FLOOR_EPS * np.where(base > 0.0, base, lr.W_FLOOR_EPS)
+    return np.where(w <= 0.0, floor, w)
+
+
+def broadcast_ar1_summaries(eta):
+    """_ar1_summaries as a chain of broadcast temporaries, for r up to
+    BANDWIDTH_MAX_COLUMNS."""
+    x = eta[:, np.arange(eta.shape[1])]
+    x = x - x.mean(axis=0)
+    denom = (x[:-1] ** 2).sum(axis=0)
+    keep = denom > 0.0
+    x = x[:, keep]
+    denom = denom[keep]
+    r1 = np.clip((x[1:] * x[:-1]).sum(axis=0) / denom, -0.97, 0.97)
+    innov = x[1:] - r1[None, :] * x[:-1]
+    return r1, (innov ** 2).sum(axis=0) / (eta.shape[0] - 1)
+
+
+def ar1_scores(rng, n, r):
+    eta = rng.standard_normal((n, r))
+    for t in range(1, n):
+        eta[t] += 0.4 * eta[t - 1]
+    return eta
+
+
+class TestLagToeplitz:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 150, 500])
+    def test_equals_index_matrix(self, rng, n):
+        from precboot.longrun import lag_toeplitz
+        w = rng.standard_normal(n)
+        t = lag_toeplitz(w)
+        np.testing.assert_array_equal(t, index_toeplitz(w))
+        assert not t.flags.writeable
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_w_diag_bitwise_one_chunk(self, rng, spec):
+        eta = ar1_scores(rng, 150, 30)
+        h = rng.uniform(0.5, 2.0, 30)
+        for s_n in (1.0, 2.7, 60.0):
+            np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
+                                          index_w_diag(eta, h, s_n, spec))
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_w_diag_bitwise_row_chunks(self, rng, monkeypatch, spec):
+        import precboot.longrun as lr
+        monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", 150 * 7)
+        eta = ar1_scores(rng, 150, 9)
+        h = rng.uniform(0.5, 2.0, 9)
+        for s_n in (1.0, 2.7, 60.0):
+            np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
+                                          index_w_diag(eta, h, s_n, spec))
+
+
+class TestAr1Summaries:
+    def test_bitwise_equal_to_broadcast_form(self, rng):
+        from precboot.longrun import _ar1_summaries
+        eta = ar1_scores(rng, 150, 300)
+        for got, want in zip(_ar1_summaries(eta),
+                             broadcast_ar1_summaries(eta)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_variance_column(self, rng):
+        from precboot.longrun import _ar1_summaries
+        eta = ar1_scores(rng, 60, 7)
+        eta[:, [2, 5]] = 0.25
+        rho, sig2 = _ar1_summaries(eta)
+        assert rho.shape == sig2.shape == (5,)
+        for got, want in zip((rho, sig2), broadcast_ar1_summaries(eta)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_input_unmodified(self, rng):
+        from precboot.longrun import _ar1_summaries
+        eta = ar1_scores(rng, 40, 6) + 3.0
+        before = eta.copy()
+        _ar1_summaries(eta)
+        np.testing.assert_array_equal(eta, before)
