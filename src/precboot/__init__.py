@@ -39,7 +39,7 @@ from .longrun import (
     kernel_eval,
     w_diag,
 )
-from .nodewise import LassoConfig, NodewiseFit, fit_all, kkt_violation
+from .nodewise import LassoConfig, NodewiseFit, fit_all
 from .pipeline import PipelineFit, fit_pipeline
 from .precision import estimate_omega, estimate_v
 from .simulate import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import precision
 from .core import RngSpec
-from .errors import InvalidInput, InvalidLevel, MissingScale
+from .errors import InvalidInput, InvalidLevel, ShapeError
 from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
     lag_toeplitz, w_diag as w_diag_fn
 
@@ -65,13 +65,15 @@ class BootstrapConfig:
 class BootstrapResult:
     stats: np.ndarray  # sorted ascending
     bandwidth: float
-    studentized: bool
-    rng: RngSpec
     w_diag: Optional[np.ndarray] = None
 
     @property
     def M(self) -> int:
         return self.stats.shape[0]
+
+    @property
+    def studentized(self) -> bool:
+        return self.w_diag is not None
 
 
 def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
@@ -162,8 +164,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
                 np.maximum(best, (scale[start:stop, None] * mag).max(axis=0),
                            out=best)
     stats.sort(axis=1)
-    return [BootstrapResult(stats=row, bandwidth=float(s_n), studentized=stud,
-                            rng=cfg.rng, w_diag=w if stud else None)
+    return [BootstrapResult(stats=row, bandwidth=float(s_n),
+                            w_diag=w if stud else None)
             for row, stud in zip(stats, studentized)]
 
 
@@ -176,17 +178,22 @@ def quantile(result: BootstrapResult, level: float) -> float:
     return float(result.stats[k - 1])
 
 
+def half_width(q: float, n: int, r: int,
+               w_diag: Optional[np.ndarray] = None) -> np.ndarray:
+    """Half-widths of the r intervals of the simultaneous box: q / sqrt(n),
+    times sqrt(w_diag) when the bootstrap was studentized (w_diag given)."""
+    half = np.full(r, q / math.sqrt(n))
+    if w_diag is None:
+        return half
+    if np.shape(w_diag) != (r,):
+        raise ShapeError("studentized bootstrap result lacks matching w_diag")
+    return half * np.sqrt(w_diag)
+
+
 def confidence_region(omega_s: np.ndarray, q: float, n: int,
-                      studentized: bool,
                       w_diag: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-coordinate intervals of the simultaneous confidence box, as an
-    (r, 2) array of [lo, hi]."""
+    (r, 2) array of [lo, hi]; studentized exactly when w_diag is given."""
     omega_s = np.asarray(omega_s, dtype=np.float64)
-    half = q / math.sqrt(n)
-    if studentized:
-        if w_diag is None:
-            raise MissingScale("studentized region needs w_diag")
-        half = half * np.sqrt(np.asarray(w_diag))
-    else:
-        half = np.full(omega_s.shape, half)
+    half = half_width(q, n, omega_s.size, w_diag)
     return np.column_stack([omega_s - half, omega_s + half])

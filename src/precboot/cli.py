@@ -15,22 +15,21 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, check_bandwidth, confidence_region, \
     kmb_draws, quantile
-from .core import Dataset, IndexSet, RngSpec, center, index_set_all_offdiag, \
+from .core import Dataset, IndexSet, RngSpec, index_set_all_offdiag, \
     index_set_from_blocks, index_set_from_mask
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
 from .inference import block_test_matrix, recover_support, test_structure
 from .longrun import KernelSpec
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
-from .simulate import DgpSpec, coverage_experiment, index_set_for, \
-    write_coverage_csv
+from .simulate import DgpSpec, coverage_experiment, write_coverage_csv
 
 
 class UserError(Exception):
@@ -171,11 +170,11 @@ def _load_dataset(args):
                            log_returns=not args.simple_returns,
                            standardize=not args.no_standardize,
                            group_map=getattr(args, "group_map", None))
-        data, groups, symbols = ingest_returns(spec)
-        return data, groups, symbols
+        data, groups, _ = ingest_returns(spec)
+        return data, groups
     if getattr(args, "data", None):
         _, rows = _read_matrix_csv(args.data, expect_header=False)
-        return Dataset(_numbers(args.data, rows)), {}, None
+        return Dataset(_numbers(args.data, rows)), {}
     raise UserError("provide --data or --prices")
 
 
@@ -265,11 +264,11 @@ def _write_manifest(path, args, extra: dict):
         "boot_M": args.boot_M,
         "kernel": args.kernel,
         "bandwidth": args.bandwidth,
-        "studentized": bool(getattr(args, "studentized", False)),
-        "alpha": getattr(args, "alpha", None),
         "lambda_scale": args.lambda_scale,
         "threads": args.threads,
     }
+    if "studentized" in args:
+        manifest.update(studentized=args.studentized, alpha=args.alpha)
     manifest.update(extra)
     with open(str(path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -307,14 +306,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _fit_for(args):
-    data, groups, symbols = _load_dataset(args)
-    pipe = fit_pipeline(data, _lasso_from(args))
-    return data, groups, symbols, pipe
+    data, groups = _load_dataset(args)
+    return data, groups, fit_pipeline(data, _lasso_from(args))
 
 
 def _cmd_estimate(args) -> int:
     _bandwidth_from(args)  # a bad --bandwidth is an error even without --set
-    data, groups, _, pipe = _fit_for(args)
+    data, groups, pipe = _fit_for(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in pipe.omega_hat.values:
@@ -325,12 +323,11 @@ def _cmd_estimate(args) -> int:
         S = parse_index_set(args.set, data.p, groups)
         boot = _prepare_bootstrap(pipe, S, args)
         q = quantile(boot, 1.0 - args.alpha)
-        region = confidence_region(pipe.omega_on(S), q, data.n,
-                                   args.studentized, w_diag=boot.w_diag)
+        omega_s = pipe.omega_on(S)
+        region = confidence_region(omega_s, q, data.n, boot.w_diag)
         with open(args.intervals_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j1", "j2", "omega", "lo", "hi"])
-            omega_s = pipe.omega_on(S)
             for (j1, j2), val, (lo, hi) in zip(S.pairs.tolist(), omega_s,
                                                region):
                 writer.writerow([j1, j2, f"{val:.17g}", f"{lo:.17g}",
@@ -342,7 +339,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    data, groups, _, pipe = _fit_for(args)
+    data, groups, pipe = _fit_for(args)
     S = parse_index_set(args.set, data.p, groups)
     if args.zero:
         c = np.zeros(S.r)
@@ -372,7 +369,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    data, groups, _, pipe = _fit_for(args)
+    data, groups, pipe = _fit_for(args)
     S = parse_index_set(args.set, data.p, groups)
     boot = _prepare_bootstrap(pipe, S, args)
     support = recover_support(pipe.omega_on(S), S, boot, data.n, args.alpha)
@@ -388,15 +385,15 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    data, groups, _, pipe = _fit_for(args)
+    _, groups, pipe = _fit_for(args)
     if not groups:
         raise UserError("blocks needs --group-map (or --groups) labels")
-    result = block_test_matrix(data, groups, _boot_cfg(args), alpha=args.fdr,
-                               include_within=args.within, pipe=pipe,
+    result = block_test_matrix(pipe, groups, _boot_cfg(args), alpha=args.fdr,
+                               include_within=args.within,
                                threads=args.threads)
     result.write_csv(args.out)
     _write_manifest(args.out, args, {
-        "fdr": args.fdr, "groups": sorted(groups),
+        "studentized": True, "fdr": args.fdr, "groups": sorted(groups),
         "rejected": len(result.adjacency),
     })
     return 0
@@ -411,8 +408,6 @@ def _add_common(parser):
     parser.add_argument("--kernel", choices=["qs", "bartlett"], default="qs")
     parser.add_argument("--bandwidth", default="auto",
                         help="'auto' (AR(1) plug-in) or a positive real")
-    parser.add_argument("--studentized", action="store_true")
-    parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--lambda-scale", type=float, default=0.5,
                         dest="lambda_scale")
     parser.add_argument("--threads", type=int, default=1)
@@ -467,6 +462,10 @@ def build_parser() -> _Parser:
     _add_common(p_rec)
     _add_data_args(p_rec)
     p_rec.add_argument("--set", nargs="+", required=True)
+    # one bootstrap at one level; simulate and blocks take neither flag
+    for level_parser in (p_est, p_test, p_rec):
+        level_parser.add_argument("--studentized", action="store_true")
+        level_parser.add_argument("--alpha", type=float, default=0.05)
 
     p_blk = sub.add_parser("blocks")
     _add_common(p_blk)

@@ -52,8 +52,6 @@ class Dataset:
 
 def center(data: Dataset) -> Dataset:
     """Subtract each column's sample mean. Idempotent."""
-    if data.n < 2:
-        raise InsufficientData("centering needs at least 2 observations")
     if data.centered:
         return data
     values = data.values - data.values.mean(axis=0)
@@ -139,10 +137,6 @@ class SymMatrix:
         lower = np.tril(values)
         self.values = lower + np.tril(values, -1).T
         self.values.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
     def __getitem__(self, key):
         return self.values[key]

@@ -33,10 +33,6 @@ class InvalidLevel(PrecbootError):
     pass
 
 
-class MissingScale(PrecbootError):
-    pass
-
-
 class ShapeError(PrecbootError):
     pass
 

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapResult, kmb_draws, quantile
-from .core import Dataset, IndexSet, index_set_from_blocks, map_ordered
+from .bootstrap import BootstrapConfig, BootstrapResult, half_width, \
+    kmb_draws, quantile
+from .core import IndexSet, index_set_from_blocks, map_ordered
 from .errors import InvalidPValue, ShapeError
-from .nodewise import LassoConfig
-from .pipeline import PipelineFit, fit_pipeline
+from .pipeline import PipelineFit
 
 
 @dataclass
@@ -41,7 +41,7 @@ def test_structure(omega_s: np.ndarray, c: np.ndarray, boot: BootstrapResult,
         raise ShapeError("omega_S and c must have the same length")
     dev = np.abs(omega_s - c)
     if boot.studentized:
-        if boot.w_diag is None or boot.w_diag.shape != omega_s.shape:
+        if boot.w_diag.shape != omega_s.shape:
             raise ShapeError("studentized bootstrap result lacks matching w_diag")
         dev = dev / np.sqrt(boot.w_diag)
     statistic = math.sqrt(n) * float(dev.max())
@@ -59,12 +59,7 @@ def recover_support(omega_hat: np.ndarray, S: IndexSet, boot: BootstrapResult,
     omega_s = np.asarray(omega_hat, dtype=np.float64)
     if omega_s.shape != (S.r,):
         raise ShapeError("omega values must be given in chi order for S")
-    q = quantile(boot, 1.0 - alpha)
-    threshold = np.full(S.r, q / math.sqrt(n))
-    if boot.studentized:
-        if boot.w_diag is None or boot.w_diag.shape != (S.r,):
-            raise ShapeError("studentized bootstrap result lacks matching w_diag")
-        threshold = threshold * np.sqrt(boot.w_diag)
+    threshold = half_width(quantile(boot, 1.0 - alpha), n, S.r, boot.w_diag)
     picked = np.abs(omega_s) > threshold
     selected = [tuple(pair) for pair in S.pairs[picked].tolist()]
     return SupportEstimate(selected=selected, alpha=alpha, threshold=threshold)
@@ -100,7 +95,11 @@ class BlockTest:
 class BlockTestResult:
     tests: List[BlockTest]
     alpha: float
-    adjacency: List[Tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def adjacency(self) -> List[Tuple[str, str]]:
+        """The rejected block pairs, in test order."""
+        return [(t.group1, t.group2) for t in self.tests if t.rejected]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -111,21 +110,17 @@ class BlockTestResult:
                                  int(t.rejected)])
 
 
-def block_test_matrix(data: Dataset, groups: dict, boot_cfg: BootstrapConfig,
-                      alpha: float = 0.1,
-                      lasso_cfg: Optional[LassoConfig] = None,
+def block_test_matrix(pipe: PipelineFit, groups: dict,
+                      boot_cfg: BootstrapConfig, alpha: float = 0.1,
                       include_within: bool = False,
-                      pipe: Optional[PipelineFit] = None,
                       threads: int = 1) -> BlockTestResult:
     """Test every block pair for a non-zero sub-block of the precision matrix.
 
-    One global node-wise fit is shared across all hypotheses; each block pair
-    gets its own Studentized bootstrap with an independent RNG substream, so
-    the pairs can run on ``threads`` threads with the same result. The
-    P-values then go through BH selection at level ``alpha``.
+    The node-wise fit ``pipe`` is shared across all hypotheses; each block
+    pair gets its own Studentized bootstrap with an independent RNG
+    substream, so the pairs can run on ``threads`` threads with the same
+    result. The P-values then go through BH selection at level ``alpha``.
     """
-    if pipe is None:
-        pipe = fit_pipeline(data, lasso_cfg)
     labels = list(groups.keys())
     pairs = []
     for i, h1 in enumerate(labels):
@@ -148,8 +143,6 @@ def block_test_matrix(data: Dataset, groups: dict, boot_cfg: BootstrapConfig,
                          statistic=outcome.statistic)
 
     tests = map_ordered(test_one, enumerate(pairs), threads)
-    rejected = bh_select([t.p_value for t in tests], alpha)
-    for i in rejected:
+    for i in bh_select([t.p_value for t in tests], alpha):
         tests[i].rejected = True
-    adjacency = [(tests[i].group1, tests[i].group2) for i in rejected]
-    return BlockTestResult(tests=tests, alpha=alpha, adjacency=adjacency)
+    return BlockTestResult(tests=tests, alpha=alpha)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class LassoConfig:
     lambda_scale: float = 0.5
     max_iter: int = 10000
     tol: float = 1e-7
-    lambda_override: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -53,11 +52,6 @@ class NodewiseFit:
 
 def default_lambdas(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     """lambda_j = lambda_scale * sd(y_j) * sqrt(2 log p / n)."""
-    if cfg.lambda_override is not None:
-        lam = np.asarray(cfg.lambda_override, dtype=np.float64)
-        if lam.shape != (data.p,):
-            raise InvalidInput("lambda_override must have length p")
-        return lam
     sd = data.values.std(axis=0, ddof=1)
     if np.any(sd <= 0.0):
         bad = int(np.nonzero(sd <= 0.0)[0][0]) + 1
@@ -141,7 +135,7 @@ def _gram(data: Dataset) -> np.ndarray:
 
 def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     """Check that ``data`` can be fitted (centred, finite, no zero-variance
-    column without an override) and return its penalties lambda_j."""
+    column) and return its penalties lambda_j."""
     if not data.centered:
         raise InsufficientData("node-wise fits require centered data")
     if not np.all(np.isfinite(data.values)):
@@ -203,23 +197,3 @@ def fit_all(data: Dataset, cfg: LassoConfig) -> NodewiseFit:
     each node that did not converge; raises NotConverged if none did."""
     return fit_batch([data], [node_penalties(data, cfg)], cfg).fit(0)
 
-
-def kkt_violation(data: Dataset, j: int, lambda_j: float, gamma: np.ndarray) -> float:
-    """Largest violation of the stationarity conditions for node j.
-
-    For r_t = -gamma' y_t the optimum satisfies, for every k != j,
-    |mean(r * y_k)| <= lambda when gamma_k = 0 and mean(r * y_k) =
-    lambda * sign(gamma_k) otherwise.
-    """
-    j0 = j - 1
-    resid = -(data.values @ gamma)
-    corr = data.values.T @ resid / data.n
-    viol = 0.0
-    for k in range(data.p):
-        if k == j0:
-            continue
-        if gamma[k] == 0.0:
-            viol = max(viol, abs(corr[k]) - lambda_j)
-        else:
-            viol = max(viol, abs(corr[k] - lambda_j * np.sign(gamma[k])))
-    return viol

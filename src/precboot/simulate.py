@@ -210,7 +210,6 @@ def _run_stage(dgp: DgpSpec, stage: int, count: int, lasso_cfg: LassoConfig,
 def coverage_experiment(dgp: DgpSpec, index_choice: str,
                         replicates: int, boot_cfg: BootstrapConfig,
                         truth_reps: int = 1000,
-                        levels: Sequence[float] = DEFAULT_LEVELS,
                         lasso_cfg: Optional[LassoConfig] = None,
                         threads: int = 1) -> CoverageReport:
     """Two-stage coverage protocol.
@@ -218,8 +217,9 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     Stage 1 builds the benchmark distribution of the max statistics from
     ``truth_reps`` independent samples. Stage 2 estimates the bootstrap
     quantiles on ``replicates`` fresh samples and records, per sample and
-    level, the benchmark fraction at or below the estimated quantile. The
-    report carries the mean and sd of those empirical coverages.
+    level of DEFAULT_LEVELS, the benchmark fraction at or below the
+    estimated quantile. The report carries the mean and sd of those
+    empirical coverages.
 
     Each stage runs in batches of FIT_BATCH_NODES // p replicates: a batch
     is drawn, its node-wise Lassos are solved in one lockstep call, and then
@@ -236,7 +236,6 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     S = index_set_for(index_choice, dgp.structure, dgp.p)
     _, omega = build_sigma(dgp.structure, dgp.p)
     omega_true_s = omega.values[S.rows(), S.cols()]
-    levels = tuple(levels)
 
     def bench_one(i, pipe):
         return _truth_stats(pipe, S, omega_true_s, boot_cfg)[:2]
@@ -253,7 +252,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
         cfg = replace(boot_cfg, rng=boot_cfg.rng.child(i))
         res_plain, res_stud = kmb_draws(eta, h, cfg, (False, True))
         cov = {}
-        for level in levels:
+        for level in DEFAULT_LEVELS:
             q_p = quantile(res_plain, level)
             q_s = quantile(res_stud, level)
             cov[(KMB, level)] = float(np.mean(bench_plain <= q_p))
@@ -269,13 +268,13 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     mean = {KMB: {}, SKMB: {}}
     sd = {KMB: {}, SKMB: {}}
     for method in (KMB, SKMB):
-        for level in levels:
+        for level in DEFAULT_LEVELS:
             vals = np.array([r[(method, level)] for r in results])
             mean[method][level] = float(vals.mean())
             sd[method][level] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     return CoverageReport(
         structure=dgp.structure, rho=dgp.rho, p=dgp.p, n=dgp.n,
-        index_choice=index_choice, levels=levels, M=boot_cfg.M,
+        index_choice=index_choice, levels=DEFAULT_LEVELS, M=boot_cfg.M,
         replicates=replicates, truth_reps=truth_reps, mean=mean, sd=sd,
         failures=failures, runtime=time.perf_counter() - t0)
 

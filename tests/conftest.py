@@ -39,6 +39,34 @@ def gram_dataset(gram, n=4):
 # ---------------------------------------------------------------------------
 # reference implementations the package is checked against
 
+def fit_at(data, lambdas, cfg):
+    """The node-wise fit of ``data`` at the given penalties lambda_j instead
+    of the default ones: one lockstep solve, as ``fit_all`` runs it."""
+    return fit_batch([data], [np.asarray(lambdas, dtype=np.float64)],
+                     cfg).fit(0)
+
+
+def kkt_violation(data, j, lambda_j, gamma):
+    """Largest violation of the stationarity conditions for node j.
+
+    For r_t = -gamma' y_t the optimum satisfies, for every k != j,
+    |mean(r * y_k)| <= lambda when gamma_k = 0 and mean(r * y_k) =
+    lambda * sign(gamma_k) otherwise.
+    """
+    j0 = j - 1
+    resid = -(data.values @ gamma)
+    corr = data.values.T @ resid / data.n
+    viol = 0.0
+    for k in range(data.p):
+        if k == j0:
+            continue
+        if gamma[k] == 0.0:
+            viol = max(viol, abs(corr[k]) - lambda_j)
+        else:
+            viol = max(viol, abs(corr[k] - lambda_j * np.sign(gamma[k])))
+    return viol
+
+
 def fit_node(data, j, lam, cfg):
     """(gamma, sweeps) of the Lasso regression of node j (1-based) at the
     penalty ``lam``: row j - 1 of a lockstep solve of ``data`` with every

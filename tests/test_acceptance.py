@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from precboot import Dataset, RngSpec, center, coverage_experiment, \
-    estimate_omega, estimate_v, fit_all, kkt_violation, multiplier_cov, \
-    recover_support
+    estimate_omega, estimate_v, fit_all, multiplier_cov, recover_support
 from precboot.inference import test_structure as structure_test
 from precboot.bootstrap import BootstrapConfig, kmb_draws
 from precboot.core import IndexSet, index_set_all_offdiag
@@ -21,7 +20,7 @@ from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas
 from precboot.pipeline import fit_pipeline
 from precboot.simulate import DgpSpec, build_sigma, true_zero_set
 
-from conftest import fit_node, xi_hat
+from conftest import fit_node, kkt_violation, xi_hat
 
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
 

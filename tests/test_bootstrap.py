@@ -9,7 +9,7 @@ from precboot import Dataset, RngSpec, center, confidence_region, \
     multiplier_cov, precision, quantile
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, score_mult_factor
-from precboot.errors import InvalidInput, InvalidLevel, MissingScale
+from precboot.errors import InvalidInput, InvalidLevel, ShapeError
 from precboot.longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
     w_diag
 
@@ -20,10 +20,9 @@ QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
 BART = KernelSpec(kind="bartlett")
 
 
-def result_from(stats, studentized=False, w=None):
+def result_from(stats, w=None):
     return BootstrapResult(stats=np.sort(np.asarray(stats, dtype=np.float64)),
-                           bandwidth=1.0, studentized=studentized,
-                           rng=RngSpec(0), w_diag=w)
+                           bandwidth=1.0, w_diag=w)
 
 
 class TestMultiplierFactor:
@@ -285,23 +284,23 @@ class TestQuantile:
 
 class TestConfidenceRegion:
     def test_arithmetic(self):
-        region = confidence_region(np.array([0.5]), 2.0, 100, False)
+        region = confidence_region(np.array([0.5]), 2.0, 100)
         np.testing.assert_allclose(region, [[0.3, 0.7]], atol=1e-15)
 
     def test_zero_quantile_degenerate(self):
-        region = confidence_region(np.array([0.1, -0.2]), 0.0, 25, False)
+        region = confidence_region(np.array([0.1, -0.2]), 0.0, 25)
         np.testing.assert_allclose(region[:, 0], region[:, 1], atol=1e-15)
 
     def test_studentized_scaling(self):
-        base = confidence_region(np.array([0.0]), 1.0, 4, True,
+        base = confidence_region(np.array([0.0]), 1.0, 4,
                                  w_diag=np.array([1.0]))
-        wide = confidence_region(np.array([0.0]), 1.0, 4, True,
+        wide = confidence_region(np.array([0.0]), 1.0, 4,
                                  w_diag=np.array([4.0]))
         assert wide[0, 1] == pytest.approx(2.0 * base[0, 1], abs=1e-15)
 
-    def test_studentized_needs_w(self):
-        with pytest.raises(MissingScale):
-            confidence_region(np.array([0.0]), 1.0, 4, True)
+    def test_w_diag_must_match(self):
+        with pytest.raises(ShapeError):
+            confidence_region(np.zeros(2), 1.0, 4, w_diag=np.ones(3))
 
 
 def quantile_and_se(stats, level):

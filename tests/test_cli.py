@@ -172,6 +172,8 @@ class TestSimulateCommand:
         assert {r["set"] for r in rows} == {"zeros", "offdiag"}
         manifest = json.loads((tmp_path / "cov.csv.manifest.json").read_text())
         assert manifest["seed"] == 3 and manifest["boot_M"] == 10
+        # simulate runs both KMB and SKMB at the fixed levels
+        assert "studentized" not in manifest and "alpha" not in manifest
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outs = []
@@ -245,19 +247,28 @@ class TestRecoverCommand:
         rows = list(csv.DictReader(open(out)))
         for row in rows:
             assert int(row["j1"]) != int(row["j2"])
+        manifest = json.loads((tmp_path / "edges.csv.manifest.json")
+                              .read_text())
+        assert manifest["studentized"] is False and manifest["alpha"] == 0.05
+
+
+def two_group_prices(tmp_path):
+    """A 60-day price CSV of four symbols and a map of them to two groups."""
+    rng = np.random.default_rng(8)
+    prices = np.exp(np.cumsum(rng.standard_normal((60, 4)) * 0.02, axis=0))
+    path = tmp_path / "prices.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["A", "B", "C", "D"])
+        writer.writerows(prices.tolist())
+    gmap = tmp_path / "groups.csv"
+    gmap.write_text("A,g1\nB,g1\nC,g2\nD,g2\n")
+    return path, gmap
 
 
 class TestBlocksCommand:
     def test_adjacency_csv(self, tmp_path):
-        rng = np.random.default_rng(8)
-        prices = np.exp(np.cumsum(rng.standard_normal((60, 4)) * 0.02, axis=0))
-        path = tmp_path / "prices.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["A", "B", "C", "D"])
-            writer.writerows(prices.tolist())
-        gmap = tmp_path / "groups.csv"
-        gmap.write_text("A,g1\nB,g1\nC,g2\nD,g2\n")
+        path, gmap = two_group_prices(tmp_path)
         out = tmp_path / "adj.csv"
         assert run_cli(["blocks", "--prices", path, "--group-map", gmap,
                         "--fdr", "0.1", "--boot-M", "20", "--seed", "6",
@@ -265,6 +276,17 @@ class TestBlocksCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "group1,group2,p_value,rejected"
         assert len(lines) == 2  # one cross pair
+
+    def test_manifest_records_the_studentized_run(self, tmp_path):
+        # every block pair gets the studentized bootstrap; the level is --fdr
+        path, gmap = two_group_prices(tmp_path)
+        out = tmp_path / "adj.csv"
+        assert run_cli(["blocks", "--prices", path, "--group-map", gmap,
+                        "--boot-M", "20", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "adj.csv.manifest.json")
+                              .read_text())
+        assert manifest["studentized"] is True and manifest["fdr"] == 0.1
+        assert "alpha" not in manifest
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -294,6 +316,22 @@ class TestBlocksCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", ["--alpha", "0.1"]), ("simulate", ["--studentized"]),
+        ("blocks", ["--alpha", "0.1"]), ("blocks", ["--studentized"])])
+    def test_level_flags_only_where_read(self, tmp_path, command, flag):
+        # simulate runs both bootstraps at fixed levels and blocks always
+        # studentizes at level --fdr, so neither takes these flags
+        path, gmap = two_group_prices(tmp_path)
+        args = (["--structure", "A", "--p", "6", "--n", "50", "--reps", "2",
+                 "--truth-reps", "4"]
+                if command == "simulate"
+                else ["--prices", path, "--group-map", gmap])
+        out = tmp_path / "out.csv"
+        assert run_cli([command, *args, "--boot-M", "10", "--out", out,
+                        *flag]) == 1
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert run_cli(["estimate", "--data", tmp_path / "nope.csv",
                         "--out", tmp_path / "o.csv"]) == 1

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from precboot import Dataset, RngSpec, bh_select, block_test_matrix, \
-    confidence_region, quantile, recover_support
+from precboot import RngSpec, bh_select, block_test_matrix, \
+    confidence_region, fit_pipeline, quantile, recover_support
 from precboot.inference import test_structure as structure_test
 from precboot.bootstrap import BootstrapConfig, BootstrapResult
 from precboot.core import IndexSet
@@ -13,10 +13,9 @@ from precboot.errors import InvalidPValue, ShapeError
 from precboot.simulate import DgpSpec, generate
 
 
-def result_from(stats, studentized=False, w=None):
+def result_from(stats, w=None):
     return BootstrapResult(stats=np.sort(np.asarray(stats, dtype=np.float64)),
-                           bandwidth=1.0, studentized=studentized,
-                           rng=RngSpec(0),
+                           bandwidth=1.0,
                            w_diag=None if w is None else np.asarray(w))
 
 
@@ -42,7 +41,7 @@ class TestTestStructure:
         assert out.p_value == pytest.approx(0.6)  # (1 + 2) / (4 + 1)
 
     def test_studentized_statistic(self):
-        boot = result_from([1.0, 2.0], studentized=True, w=[4.0])
+        boot = result_from([1.0, 2.0], w=[4.0])
         out = structure_test(np.array([0.4]), np.array([0.0]), boot,
                              n=100, alpha=0.5)
         assert out.statistic == pytest.approx(2.0)  # 10*0.4/sqrt(4)
@@ -71,7 +70,7 @@ class TestTestStructure:
             c = rng.standard_normal(4) * 0.3
             n = 30
             out = structure_test(omega, c, boot, n=n, alpha=0.1)
-            region = confidence_region(omega, quantile(boot, 0.9), n, False)
+            region = confidence_region(omega, quantile(boot, 0.9), n)
             inside = np.all((c >= region[:, 0]) & (c <= region[:, 1]))
             assert out.reject == (not inside)
 
@@ -98,7 +97,7 @@ class TestRecoverSupport:
 
     def test_studentized_threshold(self):
         S = IndexSet(np.array([[1, 2], [2, 3]]))
-        boot = result_from([1.0] * 4, studentized=True, w=[1.0, 100.0])
+        boot = result_from([1.0] * 4, w=[1.0, 100.0])
         est = recover_support(np.array([0.5, 0.5]), S, boot, n=100,
                               alpha=0.05)
         assert est.selected == [(1, 2)]  # the inflated scale blocks the second
@@ -142,45 +141,45 @@ class TestBhSelect:
         assert with_extra == bh_select(base + [1.0], 0.1)
 
 
-def block_dataset(seed, p=10, n=300):
+def block_fit(seed, p=10, n=300):
     dgp = DgpSpec(structure="B", p=p, rho=0.0, n=n, rng=RngSpec(seed, "blk"))
-    return generate(dgp)
+    return fit_pipeline(generate(dgp))
 
 
 class TestBlockTestMatrix:
     def test_m_equal_one_gives_degenerate_p(self):
-        data = block_dataset(1)
+        pipe = block_fit(1)
         groups = {"g1": [1, 2, 3, 4, 5], "g2": [6, 7, 8, 9, 10]}
         cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=1, bandwidth=1.0)
-        result = block_test_matrix(data, groups, cfg, alpha=0.1)
+        result = block_test_matrix(pipe, groups, cfg, alpha=0.1)
         assert len(result.tests) == 1
         assert result.tests[0].p_value in (0.5, 1.0)
 
     def test_single_group_no_cross_pairs(self):
-        data = block_dataset(2)
+        pipe = block_fit(2)
         cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=5, bandwidth=1.0)
-        result = block_test_matrix(data, {"g": [1, 2, 3]}, cfg)
+        result = block_test_matrix(pipe, {"g": [1, 2, 3]}, cfg)
         assert result.tests == [] and result.adjacency == []
 
     def test_within_mode_adds_pairs(self):
-        data = block_dataset(3)
+        pipe = block_fit(3)
         groups = {"g1": [1, 2], "g2": [6, 7]}
         cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=5, bandwidth=1.0)
-        result = block_test_matrix(data, groups, cfg, include_within=True)
+        result = block_test_matrix(pipe, groups, cfg, include_within=True)
         labels = {(t.group1, t.group2) for t in result.tests}
         assert labels == {("g1", "g2"), ("g1", "g1"), ("g2", "g2")}
 
     def test_threads_give_identical_results(self):
         # more workers than cores and a short switch interval, so the pairs
         # interleave; each pair's own RNG child makes the result exact
-        data = block_dataset(5)
+        pipe = block_fit(5)
         groups = {f"g{k}": [2 * k + 1, 2 * k + 2] for k in range(5)}
         cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=200, bandwidth=1.5)
-        serial = block_test_matrix(data, groups, cfg, include_within=True)
+        serial = block_test_matrix(pipe, groups, cfg, include_within=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = block_test_matrix(data, groups, cfg, include_within=True,
+            pooled = block_test_matrix(pipe, groups, cfg, include_within=True,
                                        threads=6)
         finally:
             sys.setswitchinterval(interval)
@@ -188,10 +187,10 @@ class TestBlockTestMatrix:
         assert pooled == serial
 
     def test_csv_format(self, tmp_path):
-        data = block_dataset(4)
+        pipe = block_fit(4)
         groups = {"g1": [1, 2, 3, 4, 5], "g2": [6, 7, 8, 9, 10]}
         cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=10, bandwidth=1.0)
-        result = block_test_matrix(data, groups, cfg)
+        result = block_test_matrix(pipe, groups, cfg)
         out = tmp_path / "edges.csv"
         result.write_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -205,9 +204,9 @@ class TestBlockTestMatrix:
         hits = 0
         reps = 100
         for rep in range(reps):
-            data = block_dataset(100 + rep, p=10, n=400)
+            pipe = block_fit(100 + rep, p=10, n=400)
             cfg = BootstrapConfig(rng=RngSpec(rep, "bt"), M=200)
-            result = block_test_matrix(data, groups, cfg, alpha=0.1,
+            result = block_test_matrix(pipe, groups, cfg, alpha=0.1,
                                        include_within=True)
             verdict = {(t.group1, t.group2): t.rejected for t in result.tests}
             ok = (verdict[("g1", "g1")] and verdict[("g2", "g2")]

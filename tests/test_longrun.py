@@ -323,6 +323,16 @@ def ar1_scores(rng, n, r):
     return eta
 
 
+class NoProduct(np.ndarray):
+    """An ndarray whose matrix products raise. Slices keep the subclass;
+    np.ascontiguousarray returns a plain ndarray."""
+
+    def __matmul__(self, other):
+        raise AssertionError("matrix product on the strided Toeplitz view")
+
+    __rmatmul__ = __matmul__
+
+
 class TestLagToeplitz:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 150, 500])
     def test_equals_index_matrix(self, rng, n):
@@ -349,6 +359,26 @@ class TestLagToeplitz:
         for s_n in (1.0, 2.7, 60.0):
             np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
                                           index_w_diag(eta, h, s_n, spec))
+
+    @pytest.mark.parametrize("max_entries", [None, 150 * 7],
+                             ids=["one-chunk", "row-chunks"])
+    def test_w_diag_copies_rows_before_product(self, rng, monkeypatch,
+                                               max_entries):
+        # a product with the negative-stride view itself may leave BLAS on
+        # some NumPy versions and change the bits, so every row chunk must
+        # be copied to C order first
+        import precboot.longrun as lr
+        view = lr.lag_toeplitz
+        monkeypatch.setattr(lr, "lag_toeplitz",
+                            lambda w: view(w).view(NoProduct))
+        if max_entries is not None:
+            monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", max_entries)
+        with pytest.raises(AssertionError):
+            lr.lag_toeplitz(np.ones(4))[1:3] @ np.ones(4)
+        eta = ar1_scores(rng, 150, 9)
+        h = rng.uniform(0.5, 2.0, 9)
+        np.testing.assert_array_equal(w_diag(eta, h, 2.7, QS),
+                                      index_w_diag(eta, h, 2.7, QS))
 
 
 class TestAr1Summaries:

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from precboot import Dataset, center, fit_all, kkt_violation
+from precboot import Dataset, center, fit_all
 from precboot.errors import ConvergenceWarning, DegenerateColumn, \
     InsufficientData, InvalidInput, NotConverged
 from precboot.nodewise import LassoConfig, default_lambdas, fit_batch, \
     node_penalties
 
-from conftest import fit_node, gram_dataset, make_centered
+from conftest import fit_at, fit_node, gram_dataset, kkt_violation, \
+    make_centered
 
 
 class TestDefaultLambdas:
@@ -24,9 +25,10 @@ class TestDefaultLambdas:
         np.testing.assert_allclose(lam, expected, rtol=1e-12)
 
     def test_override_returned_verbatim(self, rng):
+        # penalties given in place of the defaults come back as they are
         d = make_centered(rng.standard_normal((10, 3)))
-        cfg = LassoConfig(lambda_override=[0.3, 0.2, 0.1])
-        assert default_lambdas(d, cfg).tolist() == [0.3, 0.2, 0.1]
+        fit = fit_at(d, [0.3, 0.2, 0.1], LassoConfig())
+        assert fit.lambdas.tolist() == [0.3, 0.2, 0.1]
 
     def test_constant_column(self):
         values = np.column_stack([np.zeros(10), np.arange(10.0)])
@@ -83,7 +85,7 @@ class TestFitAll:
     def test_fully_penalized_residuals_are_raw_columns(self, rng):
         col = rng.standard_normal(20)
         d = make_centered(np.column_stack([col, col]))
-        fit = fit_all(d, LassoConfig(lambda_override=[10.0, 10.0]))
+        fit = fit_at(d, [10.0, 10.0], LassoConfig())
         assert fit.alpha[0, 1] == 0.0 and fit.alpha[1, 0] == 0.0
         np.testing.assert_allclose(fit.residuals, d.values, atol=1e-14)
 
@@ -130,10 +132,9 @@ class TestKktCertificates:
         d = make_centered(rng.standard_normal((60, 5)))
         perm = np.array([2, 0, 4, 1, 3])
         d_perm = Dataset(d.values[:, perm], centered=True)
-        cfg = LassoConfig(tol=1e-12,
-                          lambda_override=np.full(5, 0.05))
-        fit = fit_all(d, cfg)
-        fit_perm = fit_all(d_perm, cfg)
+        cfg = LassoConfig(tol=1e-12)
+        fit = fit_at(d, np.full(5, 0.05), cfg)
+        fit_perm = fit_at(d_perm, np.full(5, 0.05), cfg)
         np.testing.assert_allclose(fit_perm.alpha,
                                    fit.alpha[np.ix_(perm, perm)], atol=1e-9)
 
@@ -168,11 +169,6 @@ class TestConfigValidation:
     def test_bad_max_iter(self):
         with pytest.raises(InvalidInput):
             LassoConfig(max_iter=0)
-
-    def test_override_wrong_length(self, rng):
-        d = make_centered(rng.standard_normal((10, 3)))
-        with pytest.raises(InvalidInput):
-            default_lambdas(d, LassoConfig(lambda_override=[0.1]))
 
 
 def scalar_cd(gram, j, lam, tol, max_iter):
@@ -257,9 +253,10 @@ class TestLockstepMatchesScalarCd:
     arithmetic of the one-node solver: same alpha, bit for bit and with the
     sign of zero, the same sweep counts and the same warnings."""
 
-    def check(self, d, cfg):
-        alpha, sweeps, bad = reference_fit(d, cfg)
-        fit, messages = fit_with_warnings(d, cfg)
+    def check(self, d, cfg, lam=None):
+        alpha, sweeps, bad = reference_fit(d, cfg, lam)
+        fit_fn = fit_all if lam is None else lambda d, c: fit_at(d, lam, c)
+        fit, messages = fit_with_warnings(d, cfg, fit_fn)
         assert_bitwise_equal(fit.alpha, alpha)
         np.testing.assert_array_equal(fit.iterations, sweeps)
         assert messages == not_converged_messages(bad, cfg.max_iter)
@@ -275,13 +272,12 @@ class TestLockstepMatchesScalarCd:
 
     def test_tiny_lambda_dense(self, rng):
         d = make_centered(rng.standard_normal((60, 8)))
-        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(8, 1e-6),
-                                           tol=1e-10))
+        fit, _ = self.check(d, LassoConfig(tol=1e-10), np.full(8, 1e-6))
         assert np.all(fit.alpha != 0.0)
 
     def test_huge_lambda_all_zero(self, rng):
         d = make_centered(rng.standard_normal((40, 10)))
-        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(10, 1e3)))
+        fit, _ = self.check(d, LassoConfig(), np.full(10, 1e3))
         assert np.all(fit.alpha[~np.eye(10, dtype=bool)] == 0.0)
         np.testing.assert_array_equal(fit.iterations, 1)
 
@@ -289,7 +285,7 @@ class TestLockstepMatchesScalarCd:
         y = rng.standard_normal((50, 6))
         y[:, 2] = 3.0
         d = make_centered(y)
-        fit, _ = self.check(d, LassoConfig(lambda_override=np.full(6, 0.05)))
+        fit, _ = self.check(d, LassoConfig(), np.full(6, 0.05))
         assert np.all(fit.alpha[:, 2][np.arange(6) != 2] == 0.0)
 
     def test_max_iter_two_warns_same_nodes_in_order(self, rng):
@@ -299,7 +295,7 @@ class TestLockstepMatchesScalarCd:
         y[:, 1:] += 0.9 * y[:, :-1]
         d = make_centered(y)
         lam = np.where(np.arange(12) % 3 == 0, 1e3, 0.01)
-        _, bad = self.check(d, LassoConfig(max_iter=2, lambda_override=lam))
+        _, bad = self.check(d, LassoConfig(max_iter=2), lam)
         assert bad == [j for j in range(1, 13) if (j - 1) % 3 != 0]
 
     def test_fit_node_is_row_of_fit_all(self, rng):
@@ -366,7 +362,7 @@ class TestLockstepMatchesScalarCd:
 class TestNotConverged:
     # a tiny penalty moves every coefficient in the first sweep, so with
     # max_iter = 1 no node meets the tolerance
-    TINY = LassoConfig(max_iter=1, lambda_override=np.full(6, 1e-6))
+    TINY = LassoConfig(max_iter=1, lambda_scale=1e-6)
 
     def test_fit_all_raises_when_no_node_converges(self, rng):
         d = make_centered(rng.standard_normal((50, 6)))
