@@ -71,10 +71,6 @@ class BootstrapResult:
     def M(self) -> int:
         return self.stats.shape[0]
 
-    @property
-    def studentized(self) -> bool:
-        return self.w_diag is not None
-
 
 def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
     """The n x n multiplier covariance A with A[i, j] = K(|i-j|/S_n)."""
@@ -83,36 +79,35 @@ def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
     return lag_toeplitz(by_lag).copy()
 
 
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """A factor R with R R' = cov for a symmetric positive semi-definite
+    ``cov``, taken in correlation form: R = D V sqrt(vals) with
+    D = diag(sqrt(diag cov)) and V, vals the eigenpairs (negative ones
+    clipped to 0) of D^-1 cov D^-1, so rescaling a variable rescales its row
+    of R and nothing else. Variables with zero variance get a zero row."""
+    d = np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
+    safe = np.where(d > 0.0, d, 1.0)
+    vals, vecs = np.linalg.eigh(cov / np.outer(safe, safe))
+    return d[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+
 def gaussian_mult_factor(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
-    """A factor L with L L' = A (Cholesky when possible, else a clipped
-    symmetric square root)."""
+    """A factor L with L L' = A (Cholesky when possible, else
+    ``psd_factor``)."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
     a = multiplier_cov(n, s_n, kernel)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(a)
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)[None, :]
+        return psd_factor(a)
 
 
 def score_mult_factor(eta, s_n: float, kernel: KernelSpec) -> np.ndarray:
-    """A factor R with R R' = eta' A eta, the r x r covariance of a draw,
-    with A = multiplier_cov(n, s_n, kernel).
-
-    The factor is taken in correlation form, R = D V sqrt(vals) with
-    D = diag(sqrt(diag Xi)) and V, vals the eigenpairs (negative ones clipped
-    to 0) of D^-1 Xi D^-1, so rescaling a score column rescales its row of R
-    and nothing else. Columns with zero variance get a zero row.
-    """
-    n = eta.shape[0]
+    """``psd_factor`` of eta' A eta, the r x r covariance of a draw, with
+    A = multiplier_cov(n, s_n, kernel)."""
     x = eta[:, :]
-    xi = x.T @ (multiplier_cov(n, s_n, kernel) @ x)
-    d = np.sqrt(np.clip(np.diagonal(xi), 0.0, None))
-    safe = np.where(d > 0.0, d, 1.0)
-    vals, vecs = np.linalg.eigh(xi / np.outer(safe, safe))
-    return d[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    return psd_factor(x.T @ (multiplier_cov(x.shape[0], s_n, kernel) @ x))
 
 
 def _draw_multipliers(factor: np.ndarray, rng: RngSpec, m_start: int,
@@ -146,7 +141,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     w = w_diag_fn(eta, h_diag, s_n, cfg.kernel) if any(studentized) \
         else None
     plain = h_diag / math.sqrt(n)
-    scales = [plain / np.sqrt(w) if stud else plain for stud in studentized]
+    scales = [plain / _studentized_scale(w, r) if stud else plain
+              for stud in studentized]
     factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
               else gaussian_mult_factor(n, s_n, cfg.kernel))
     starts = range(0, cfg.M, DRAW_CHUNK)
@@ -178,6 +174,13 @@ def quantile(result: BootstrapResult, level: float) -> float:
     return float(result.stats[k - 1])
 
 
+def _studentized_scale(w_diag: np.ndarray, r: int) -> np.ndarray:
+    """sqrt(w_diag), the scales of the r coordinates of a studentized run."""
+    if np.shape(w_diag) != (r,):
+        raise ShapeError("studentized bootstrap result lacks matching w_diag")
+    return np.sqrt(w_diag)
+
+
 def half_width(q: float, n: int, r: int,
                w_diag: Optional[np.ndarray] = None) -> np.ndarray:
     """Half-widths of the r intervals of the simultaneous box: q / sqrt(n),
@@ -185,9 +188,17 @@ def half_width(q: float, n: int, r: int,
     half = np.full(r, q / math.sqrt(n))
     if w_diag is None:
         return half
-    if np.shape(w_diag) != (r,):
-        raise ShapeError("studentized bootstrap result lacks matching w_diag")
-    return half * np.sqrt(w_diag)
+    return half * _studentized_scale(w_diag, r)
+
+
+def max_statistic(dev: np.ndarray, n: int,
+                  w_diag: Optional[np.ndarray] = None) -> float:
+    """sqrt(n) * max |dev|, each |dev_j| divided by sqrt(w_diag_j) first
+    when the bootstrap was studentized (w_diag given)."""
+    dev = np.abs(dev)
+    if w_diag is not None:
+        dev = dev / _studentized_scale(w_diag, dev.size)
+    return math.sqrt(n) * float(dev.max())
 
 
 def confidence_region(omega_s: np.ndarray, q: float, n: int,

@@ -355,7 +355,7 @@ def _cmd_test(args) -> int:
     payload = {
         "statistic": outcome.statistic, "quantile": outcome.quantile,
         "p_value": outcome.p_value, "reject": outcome.reject,
-        "alpha": outcome.alpha,
+        "alpha": args.alpha,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -387,7 +387,7 @@ def _cmd_recover(args) -> int:
 def _cmd_blocks(args) -> int:
     _, groups, pipe = _fit_for(args)
     if not groups:
-        raise UserError("blocks needs --group-map (or --groups) labels")
+        raise UserError("blocks needs --group-map labels")
     result = block_test_matrix(pipe, groups, _boot_cfg(args), alpha=args.fdr,
                                include_within=args.within,
                                threads=args.threads)

@@ -3,14 +3,13 @@ testing on the estimated precision matrix."""
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapResult, half_width, \
-    kmb_draws, quantile
+    kmb_draws, max_statistic, quantile
 from .core import IndexSet, index_set_from_blocks, map_ordered
 from .errors import InvalidPValue, ShapeError
 from .pipeline import PipelineFit
@@ -22,14 +21,11 @@ class TestOutcome:
     quantile: float
     reject: bool
     p_value: float
-    alpha: float
 
 
 @dataclass
 class SupportEstimate:
     selected: List[Tuple[int, int]]
-    alpha: float
-    threshold: np.ndarray  # per-coordinate threshold on |omega|, length r
 
 
 def test_structure(omega_s: np.ndarray, c: np.ndarray, boot: BootstrapResult,
@@ -39,18 +35,13 @@ def test_structure(omega_s: np.ndarray, c: np.ndarray, boot: BootstrapResult,
     c = np.asarray(c, dtype=np.float64)
     if omega_s.shape != c.shape:
         raise ShapeError("omega_S and c must have the same length")
-    dev = np.abs(omega_s - c)
-    if boot.studentized:
-        if boot.w_diag.shape != omega_s.shape:
-            raise ShapeError("studentized bootstrap result lacks matching w_diag")
-        dev = dev / np.sqrt(boot.w_diag)
-    statistic = math.sqrt(n) * float(dev.max())
+    statistic = max_statistic(omega_s - c, n, boot.w_diag)
     q = quantile(boot, 1.0 - alpha)
     # (1 + #{T* >= T}) / (M + 1) (Phipson & Smyth 2010): never exactly 0
     at_least = int(np.count_nonzero(boot.stats >= statistic))
     p_value = (1 + at_least) / (boot.M + 1)
     return TestOutcome(statistic=statistic, quantile=q,
-                       reject=statistic > q, p_value=p_value, alpha=alpha)
+                       reject=statistic > q, p_value=p_value)
 
 
 def recover_support(omega_hat: np.ndarray, S: IndexSet, boot: BootstrapResult,
@@ -62,7 +53,7 @@ def recover_support(omega_hat: np.ndarray, S: IndexSet, boot: BootstrapResult,
     threshold = half_width(quantile(boot, 1.0 - alpha), n, S.r, boot.w_diag)
     picked = np.abs(omega_s) > threshold
     selected = [tuple(pair) for pair in S.pairs[picked].tolist()]
-    return SupportEstimate(selected=selected, alpha=alpha, threshold=threshold)
+    return SupportEstimate(selected=selected)
 
 
 def bh_select(p_values: Sequence[float], alpha: float) -> List[int]:
@@ -87,14 +78,12 @@ class BlockTest:
     group1: str
     group2: str
     p_value: float
-    statistic: float
     rejected: bool = False
 
 
 @dataclass
 class BlockTestResult:
     tests: List[BlockTest]
-    alpha: float
 
     @property
     def adjacency(self) -> List[Tuple[str, str]]:
@@ -138,11 +127,9 @@ def block_test_matrix(pipe: PipelineFit, groups: dict,
         (boot,) = kmb_draws(eta, h, cfg, (True,))
         outcome = test_structure(pipe.omega_on(S), np.zeros(S.r), boot, n,
                                  alpha)
-        return BlockTest(group1=str(h1), group2=str(h2),
-                         p_value=outcome.p_value,
-                         statistic=outcome.statistic)
+        return BlockTest(str(h1), str(h2), outcome.p_value)
 
     tests = map_ordered(test_one, enumerate(pairs), threads)
     for i in bh_select([t.p_value for t in tests], alpha):
         tests[i].rejected = True
-    return BlockTestResult(tests=tests, alpha=alpha)
+    return BlockTestResult(tests=tests)

@@ -71,7 +71,8 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     coefficient k moved are updated. A row leaves the solve at the end of
     the first sweep whose largest move is below tol. Every step is
     elementwise over rows, so each row does exactly the arithmetic of a
-    one-node solve. Returns (gamma, sweeps, converged), one row per node.
+    one-node solve. Every C_b[k, k] must be positive. Returns (gamma,
+    sweeps, converged), one row per node.
     """
     n_b, p, _ = gram.shape
     rows_all = n_b * p
@@ -82,14 +83,7 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     q = -gram_cols.reshape(rows_all, p)  # q[i] = C_b @ gamma[i], incremental
     # by_coord[k][b] = C_b[:, k], the update direction of coordinate k
     by_coord = np.ascontiguousarray(gram_cols.transpose(1, 0, 2))
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    live = diag > 0.0
-    # a sample skips coordinate k when C_b[k, k] = 0; its rows divide by 1
-    # instead and have their move masked to zero
-    ckk_all = np.repeat(np.where(live, diag, 1.0).T, p, axis=1)
-    coords = np.flatnonzero(live.any(axis=0)).tolist()
-    dead_rows = {k: np.repeat(~live[:, k], p) for k in coords
-                 if not live[:, k].all()}
+    ckk_all = np.repeat(np.diagonal(gram, axis1=1, axis2=2).T, p, axis=1)
     neg_lambdas = -lambdas
     sweeps = np.zeros(rows_all, dtype=np.int64)
     converged = np.zeros(rows_all, dtype=bool)
@@ -99,7 +93,7 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     diff = np.empty(rows_all)
     for sweep in range(1, max_iter + 1):
         max_delta.fill(0.0)
-        for k in coords:
+        for k in range(p):
             ckk = ckk_all[k]
             old = gamma[:, k]
             np.subtract(q[:, k], np.multiply(old, ckk, out=partial),
@@ -113,9 +107,6 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
             np.subtract(new, old, out=diff)
             diff[converged] = 0.0
             diff[k::p] = 0.0
-            dead = dead_rows.get(k)
-            if dead is not None:
-                diff[dead] = 0.0
             rows = np.flatnonzero(diff)
             if rows.size:
                 cols = by_coord[k] if n_b == 1 else by_coord[k][rows // p]
@@ -179,8 +170,13 @@ class NodewiseBatch:
 def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
               cfg: LassoConfig) -> NodewiseBatch:
     """Solve the node-wise regressions of several centred samples of one
-    shape in one lockstep call; ``lambdas`` are their node_penalties."""
+    shape in one lockstep call; ``lambdas`` are their node_penalties.
+    Raises DegenerateColumn if a sample has a zero-variance column."""
     gram = np.stack([_gram(d) for d in samples])
+    zero = np.argwhere(np.diagonal(gram, axis1=1, axis2=2) <= 0.0)
+    if zero.size:
+        b, j = zero[0]
+        raise DegenerateColumn(f"sample {b}: column {j + 1} has zero variance")
     lambdas = np.stack(lambdas)
     n_b, p = lambdas.shape
     alpha, sweeps, converged = _cd_lockstep(gram, lambdas.ravel(), cfg.tol,

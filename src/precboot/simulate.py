@@ -9,11 +9,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, kmb_draws, quantile
+from .bootstrap import BootstrapConfig, kmb_draws, max_statistic, quantile
 from .core import Dataset, IndexSet, RngSpec, SymMatrix, center, \
     index_set_all_offdiag, index_set_from_mask, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
@@ -120,8 +120,6 @@ class CoverageReport:
     p: int
     n: int
     index_choice: str
-    levels: Tuple[float, ...]
-    M: int
     replicates: int
     truth_reps: int
     mean: Dict[str, Dict[float, float]]
@@ -129,34 +127,16 @@ class CoverageReport:
     failures: int
     runtime: float
 
-    def rows(self) -> List[dict]:
-        out = []
-        for level in self.levels:
-            out.append({
-                "structure": self.structure,
-                "rho": self.rho,
-                "p": self.p,
-                "n": self.n,
-                "set": self.index_choice,
-                "level": level,
-                "kmb_mean": self.mean[KMB][level],
-                "kmb_sd": self.sd[KMB][level],
-                "skmb_mean": self.mean[SKMB][level],
-                "skmb_sd": self.sd[SKMB][level],
-            })
-        return out
-
 
 def _truth_stats(pipe: PipelineFit, S: IndexSet, omega_true_s: np.ndarray,
                  boot_cfg: BootstrapConfig):
-    """True-deviation max statistics (plain, studentized at the bandwidth
-    the bootstrap uses) and the median long-run variance of one fitted
-    sample."""
-    dev = np.abs(pipe.omega_on(S) - omega_true_s)
+    """True-deviation max statistics of one fitted sample: plain, and
+    studentized at the bandwidth the bootstrap uses."""
+    dev = pipe.omega_on(S) - omega_true_s
     eta, h = pipe.scores(S)
     w = w_diag_fn(eta, h, boot_cfg.bandwidth_for(eta), boot_cfg.kernel)
-    root_n = math.sqrt(pipe.data.n)
-    return root_n * dev.max(), root_n * (dev / np.sqrt(w)).max(), np.median(w)
+    n = pipe.data.n
+    return max_statistic(dev, n), max_statistic(dev, n, w)
 
 
 def _fit_chunk(dgp: DgpSpec, stage: int, keys: range, lasso_cfg: LassoConfig,
@@ -238,7 +218,7 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     omega_true_s = omega.values[S.rows(), S.cols()]
 
     def bench_one(i, pipe):
-        return _truth_stats(pipe, S, omega_true_s, boot_cfg)[:2]
+        return _truth_stats(pipe, S, omega_true_s, boot_cfg)
 
     bench = _run_stage(dgp, 0, truth_reps, lasso_cfg, threads, bench_one)
     bench_fail = sum(1 for b in bench if b is None)
@@ -274,9 +254,9 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
             sd[method][level] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     return CoverageReport(
         structure=dgp.structure, rho=dgp.rho, p=dgp.p, n=dgp.n,
-        index_choice=index_choice, levels=DEFAULT_LEVELS, M=boot_cfg.M,
-        replicates=replicates, truth_reps=truth_reps, mean=mean, sd=sd,
-        failures=failures, runtime=time.perf_counter() - t0)
+        index_choice=index_choice, replicates=replicates,
+        truth_reps=truth_reps, mean=mean, sd=sd, failures=failures,
+        runtime=time.perf_counter() - t0)
 
 
 def write_coverage_csv(path, reports: Sequence[CoverageReport]):
@@ -287,11 +267,11 @@ def write_coverage_csv(path, reports: Sequence[CoverageReport]):
         writer = csv.writer(fh)
         writer.writerow(["structure", "rho", "p", "n", "set", "level",
                          "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"])
-        for report in reports:
-            for row in report.rows():
-                writer.writerow([
-                    row["structure"], f"{row['rho']:.17g}", row["p"], row["n"],
-                    row["set"], f"{row['level']:.17g}",
-                    f"{row['kmb_mean']:.17g}", f"{row['kmb_sd']:.17g}",
-                    f"{row['skmb_mean']:.17g}", f"{row['skmb_sd']:.17g}",
-                ])
+        for rep in reports:
+            for level in DEFAULT_LEVELS:
+                writer.writerow(
+                    [rep.structure, f"{rep.rho:.17g}", rep.p, rep.n,
+                     rep.index_choice]
+                    + [f"{x:.17g}" for x in (
+                        level, rep.mean[KMB][level], rep.sd[KMB][level],
+                        rep.mean[SKMB][level], rep.sd[SKMB][level])])

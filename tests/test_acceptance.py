@@ -13,7 +13,7 @@ import pytest
 from precboot import Dataset, RngSpec, center, coverage_experiment, \
     estimate_omega, estimate_v, fit_all, multiplier_cov, recover_support
 from precboot.inference import test_structure as structure_test
-from precboot.bootstrap import BootstrapConfig, kmb_draws
+from precboot.bootstrap import BootstrapConfig, kmb_draws, quantile
 from precboot.core import IndexSet, index_set_all_offdiag
 from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v
 from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas
@@ -212,7 +212,7 @@ class TestCriterion7SupportRecovery:
             selected = set(est.selected)
             exact += selected == true_support
             false_pos += bool(selected & zero_keys)
-            threshold_sum += float(est.threshold.mean())
+            threshold_sum += quantile(boot, 1.0 - alpha) / math.sqrt(n)
         fwer = false_pos / reps
         threshold = threshold_sum / reps
         # the method promises FWER <= alpha; allow three binomial SEs

@@ -8,7 +8,7 @@ from precboot import Dataset, RngSpec, center, confidence_region, \
     fit_pipeline, gaussian_mult_factor, index_set_all_offdiag, kmb_draws, \
     multiplier_cov, precision, quantile
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
-    BootstrapResult, score_mult_factor
+    BootstrapResult, max_statistic, psd_factor, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, ShapeError
 from precboot.longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
     w_diag
@@ -48,6 +48,17 @@ class TestMultiplierFactor:
     def test_invalid_n(self):
         with pytest.raises(InvalidInput):
             gaussian_mult_factor(0, 1.0, QS)
+
+    def test_fallback_is_psd_factor(self):
+        # Cholesky fails on A at this bandwidth; A has a unit diagonal, so
+        # the correlation form of psd_factor is the plain clipped eigh root
+        a = multiplier_cov(150, 2.5, QS)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        got = psd_factor(a)
+        want = gaussian_mult_factor(150, 2.5, QS)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("spec", [QS, QS_EXACT, BART],
                              ids=["qs", "qs-exact", "bartlett"])
@@ -242,8 +253,7 @@ class TestKmbDraws:
         (sep_stud,) = kmb_draws(eta, h, cfg, (True,))
         np.testing.assert_array_equal(plain.stats, sep_plain.stats)
         np.testing.assert_array_equal(stud.stats, sep_stud.stats)
-        assert not plain.studentized and plain.w_diag is None
-        assert stud.studentized
+        assert plain.w_diag is None
         np.testing.assert_array_equal(stud.w_diag, sep_stud.w_diag)
 
     def test_plug_in_bandwidth_when_none(self, rng):
@@ -301,6 +311,19 @@ class TestConfidenceRegion:
     def test_w_diag_must_match(self):
         with pytest.raises(ShapeError):
             confidence_region(np.zeros(2), 1.0, 4, w_diag=np.ones(3))
+
+
+class TestMaxStatistic:
+    def test_plain_and_studentized(self, rng):
+        dev = rng.standard_normal(7)
+        w = rng.uniform(0.5, 2.0, 7)
+        assert max_statistic(dev, 90) == math.sqrt(90) * np.abs(dev).max()
+        assert max_statistic(dev, 90, w) == \
+            math.sqrt(90) * (np.abs(dev) / np.sqrt(w)).max()
+
+    def test_w_diag_must_match(self):
+        with pytest.raises(ShapeError):
+            max_statistic(np.zeros(2), 4, w_diag=np.ones(3))
 
 
 def quantile_and_se(stats, level):

@@ -220,6 +220,7 @@ class TestTestCommand:
         payload = json.loads(out.read_text())
         assert set(payload) == {"statistic", "quantile", "p_value", "reject",
                                 "alpha"}
+        assert payload["alpha"] == 0.05
         assert 0.0 <= payload["p_value"] <= 1.0
 
     def test_c_file(self, tmp_path, data_csv):
@@ -287,6 +288,15 @@ class TestBlocksCommand:
                               .read_text())
         assert manifest["studentized"] is True and manifest["fdr"] == 0.1
         assert "alpha" not in manifest
+
+    def test_needs_group_map(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        out = tmp_path / "adj.csv"
+        assert run_cli(["blocks", "--data", path, "--boot-M", "10",
+                        "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            "error: blocks needs --group-map labels\n"
+        assert not out.exists()
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -10,8 +10,8 @@ from precboot.errors import InvalidDimension, InvalidInput
 from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
 from precboot.nodewise import LassoConfig
 from precboot.pipeline import assemble, fit_pipeline
-from precboot.simulate import DgpSpec, _truth_stats, index_set_for, \
-    write_coverage_csv
+from precboot.simulate import DEFAULT_LEVELS, DgpSpec, _truth_stats, \
+    index_set_for, write_coverage_csv
 
 
 class TestBuildSigma:
@@ -147,7 +147,7 @@ class TestCoverageExperiment:
         assert rep.replicates == 4 and rep.truth_reps == 10
         assert rep.failures == 0
         for method in ("KMB", "SKMB"):
-            for level in rep.levels:
+            for level in DEFAULT_LEVELS:
                 assert 0.0 <= rep.mean[method][level] <= 1.0
                 assert rep.sd[method][level] >= 0.0
 
@@ -275,13 +275,12 @@ class TestStudentizedScaleTrend:
         def median_w(rho, seed):
             dgp = DgpSpec("A", 10, rho, 200, RngSpec(seed, "w"))
             S = index_set_for("zeros", "A", 10)
-            _, omega = build_sigma("A", 10)
-            truth = omega.values[S.rows(), S.cols()]
             meds = []
             for b in range(20):
                 pipe = fit_pipeline(generate(dgp, 0, b), LassoConfig())
-                _, _, med = _truth_stats(pipe, S, truth, boot_cfg)
-                meds.append(med)
+                eta, h = pipe.scores(S)
+                meds.append(np.median(w_diag(
+                    eta, h, boot_cfg.bandwidth_for(eta), boot_cfg.kernel)))
             return np.median(meds)
 
         assert median_w(0.3, 11) > median_w(0.0, 11)
@@ -297,7 +296,7 @@ class TestTruthStage:
         truth = omega.values[S.rows(), S.cols()]
         cfg = BootstrapConfig(rng=RngSpec(0), bandwidth=2.5)
         pipe = fit_pipeline(generate(dgp, 0, 3))
-        _, stud, _ = _truth_stats(pipe, S, truth, cfg)
+        _, stud = _truth_stats(pipe, S, truth, cfg)
         eta, h = pipe.scores(S)
         assert andrews_bandwidth(eta, KernelSpec()) != 2.5
         w = w_diag(eta, h, 2.5, KernelSpec())
