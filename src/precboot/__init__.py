@@ -8,11 +8,9 @@ __version__ = "0.1.0"
 from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,
-    confidence_region,
     gaussian_mult_factor,
     kmb_draws,
     multiplier_cov,
-    quantile,
 )
 from .core import (
     Dataset,
@@ -26,7 +24,6 @@ from .core import (
 from .errors import PrecbootError
 from .inference import (
     BlockTestResult,
-    SupportEstimate,
     TestOutcome,
     bh_select,
     block_test_matrix,

@@ -13,6 +13,11 @@ routes give that law:
 
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
+
+A ``BootstrapResult`` turns the draws into answers. It carries n and the
+r-vector ``scale`` each coordinate was divided by (ones for a plain run,
+sqrt(w_diag) for a studentized one), so the region's half-widths, the test
+statistic and its p-value all come from the one object.
 """
 from __future__ import annotations
 
@@ -61,15 +66,51 @@ class BootstrapConfig:
         return float(self.bandwidth)
 
 
+def max_statistic(dev: np.ndarray, n: int, scale: np.ndarray) -> float:
+    """sqrt(n) * max(|dev| / scale); ShapeError unless dev and scale have
+    the same shape."""
+    dev = np.asarray(dev, dtype=np.float64)
+    if dev.shape != np.shape(scale):
+        raise ShapeError(f"deviation of shape {dev.shape} does not match "
+                         f"the {np.shape(scale)} coordinate scales")
+    return math.sqrt(n) * float((np.abs(dev) / scale).max())
+
+
 @dataclass
 class BootstrapResult:
+    """The sorted max statistics of M draws over r coordinates, the sample
+    size n, and the r coordinate scales: ones for a plain run, sqrt(w_diag)
+    for a studentized one."""
+
     stats: np.ndarray  # sorted ascending
     bandwidth: float
-    w_diag: Optional[np.ndarray] = None
+    n: int
+    scale: np.ndarray
 
     @property
     def M(self) -> int:
         return self.stats.shape[0]
+
+    def quantile(self, level: float) -> float:
+        """The ceil(M * level)-th order statistic of the draws."""
+        if not 0.0 < level < 1.0:
+            raise InvalidLevel(f"level must be in (0, 1), got {level}")
+        return float(self.stats[math.ceil(self.M * level) - 1])
+
+    def half_width(self, level: float) -> np.ndarray:
+        """Half-widths of the r intervals of the simultaneous box at
+        ``level``: quantile / sqrt(n), times each coordinate's scale."""
+        return self.quantile(level) / math.sqrt(self.n) * self.scale
+
+    def statistic(self, dev: np.ndarray) -> float:
+        """The max statistic sqrt(n) * max(|dev| / scale) of a deviation
+        from the r coordinates; ShapeError unless dev is an r-vector."""
+        return max_statistic(dev, self.n, self.scale)
+
+    def p_value(self, statistic: float) -> float:
+        """(1 + #{T* >= T}) / (M + 1) (Phipson & Smyth 2010): never 0."""
+        at_least = int(np.count_nonzero(self.stats >= statistic))
+        return (1 + at_least) / (self.M + 1)
 
 
 def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
@@ -128,8 +169,9 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     ``cfg.bandwidth_for(eta)`` and return one result of sorted max statistics
     per entry of ``studentized``, all from the same draws.
 
-    A studentized entry also scales each coordinate by 1/sqrt(w_diag), with
-    w_diag estimated at the same bandwidth; its result carries that w_diag.
+    A studentized entry also divides each coordinate by sqrt(w_diag), with
+    w_diag estimated at the same bandwidth; its result's ``scale`` is that
+    sqrt(w_diag), and a plain result's is ones.
     With fewer score columns than time points (r < n) the draws come from
     ``score_mult_factor``, else from ``gaussian_mult_factor``; there each
     block of score columns is formed once and projected on every draw.
@@ -138,11 +180,10 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     if r < 1:
         raise InvalidInput("need at least one score column")
     s_n = cfg.bandwidth_for(eta)
-    w = w_diag_fn(eta, h_diag, s_n, cfg.kernel) if any(studentized) \
-        else None
+    sd = np.sqrt(w_diag_fn(eta, h_diag, s_n, cfg.kernel)) \
+        if any(studentized) else None
     plain = h_diag / math.sqrt(n)
-    scales = [plain / _studentized_scale(w, r) if stud else plain
-              for stud in studentized]
+    scales = [plain / sd if stud else plain for stud in studentized]
     factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
               else gaussian_mult_factor(n, s_n, cfg.kernel))
     starts = range(0, cfg.M, DRAW_CHUNK)
@@ -160,51 +201,6 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
                 np.maximum(best, (scale[start:stop, None] * mag).max(axis=0),
                            out=best)
     stats.sort(axis=1)
-    return [BootstrapResult(stats=row, bandwidth=float(s_n),
-                            w_diag=w if stud else None)
+    return [BootstrapResult(stats=row, bandwidth=float(s_n), n=n,
+                            scale=sd if stud else np.ones(r))
             for row, stud in zip(stats, studentized)]
-
-
-def quantile(result: BootstrapResult, level: float) -> float:
-    """The ceil(M * level)-th order statistic of the bootstrap stats."""
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must be in (0, 1), got {level}")
-    m = result.M
-    k = math.ceil(m * level)
-    return float(result.stats[k - 1])
-
-
-def _studentized_scale(w_diag: np.ndarray, r: int) -> np.ndarray:
-    """sqrt(w_diag), the scales of the r coordinates of a studentized run."""
-    if np.shape(w_diag) != (r,):
-        raise ShapeError("studentized bootstrap result lacks matching w_diag")
-    return np.sqrt(w_diag)
-
-
-def half_width(q: float, n: int, r: int,
-               w_diag: Optional[np.ndarray] = None) -> np.ndarray:
-    """Half-widths of the r intervals of the simultaneous box: q / sqrt(n),
-    times sqrt(w_diag) when the bootstrap was studentized (w_diag given)."""
-    half = np.full(r, q / math.sqrt(n))
-    if w_diag is None:
-        return half
-    return half * _studentized_scale(w_diag, r)
-
-
-def max_statistic(dev: np.ndarray, n: int,
-                  w_diag: Optional[np.ndarray] = None) -> float:
-    """sqrt(n) * max |dev|, each |dev_j| divided by sqrt(w_diag_j) first
-    when the bootstrap was studentized (w_diag given)."""
-    dev = np.abs(dev)
-    if w_diag is not None:
-        dev = dev / _studentized_scale(w_diag, dev.size)
-    return math.sqrt(n) * float(dev.max())
-
-
-def confidence_region(omega_s: np.ndarray, q: float, n: int,
-                      w_diag: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-coordinate intervals of the simultaneous confidence box, as an
-    (r, 2) array of [lo, hi]; studentized exactly when w_diag is given."""
-    omega_s = np.asarray(omega_s, dtype=np.float64)
-    half = half_width(q, n, omega_s.size, w_diag)
-    return np.column_stack([omega_s - half, omega_s + half])

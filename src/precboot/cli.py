@@ -20,8 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, check_bandwidth, confidence_region, \
-    kmb_draws, quantile
+from .bootstrap import BootstrapConfig, check_bandwidth, kmb_draws
 from .core import Dataset, IndexSet, RngSpec, index_set_all_offdiag, \
     index_set_from_blocks, index_set_from_mask
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
@@ -275,10 +274,10 @@ def _write_manifest(path, args, extra: dict):
         fh.write("\n")
 
 
-def _prepare_bootstrap(pipe, S, args):
-    """Shared per-run bootstrap: scores and the draws of the chosen variant."""
+def _draws(pipe, S, cfg, args):
+    """The bootstrap of the chosen variant on the scores of S."""
     eta, h = pipe.scores(S)
-    (boot,) = kmb_draws(eta, h, _boot_cfg(args), (args.studentized,))
+    (boot,) = kmb_draws(eta, h, cfg, (args.studentized,))
     return boot
 
 
@@ -305,31 +304,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_for(args):
-    data, groups = _load_dataset(args)
-    return data, groups, fit_pipeline(data, _lasso_from(args))
-
-
 def _cmd_estimate(args) -> int:
-    _bandwidth_from(args)  # a bad --bandwidth is an error even without --set
-    data, groups, pipe = _fit_for(args)
+    data, groups = _load_dataset(args)
+    S = parse_index_set(args.set, data.p, groups) if args.set else None
+    cfg = _boot_cfg(args)
+    pipe = fit_pipeline(data, _lasso_from(args))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in pipe.omega_hat.values:
             writer.writerow([f"{x:.17g}" for x in row])
     extra = {"n": data.n, "p": data.p,
              "lambdas": [float(x) for x in pipe.fit.lambdas]}
-    if args.set:
-        S = parse_index_set(args.set, data.p, groups)
-        boot = _prepare_bootstrap(pipe, S, args)
-        q = quantile(boot, 1.0 - args.alpha)
+    if S is not None:
+        boot = _draws(pipe, S, cfg, args)
+        q = boot.quantile(1.0 - args.alpha)
         omega_s = pipe.omega_on(S)
-        region = confidence_region(omega_s, q, data.n, boot.w_diag)
+        half = boot.half_width(1.0 - args.alpha)
         with open(args.intervals_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["j1", "j2", "omega", "lo", "hi"])
-            for (j1, j2), val, (lo, hi) in zip(S.pairs.tolist(), omega_s,
-                                               region):
+            for (j1, j2), val, lo, hi in zip(S.pairs.tolist(), omega_s,
+                                             omega_s - half, omega_s + half):
                 writer.writerow([j1, j2, f"{val:.17g}", f"{lo:.17g}",
                                  f"{hi:.17g}"])
         extra.update({"bandwidth_used": boot.bandwidth, "quantile": q,
@@ -339,19 +334,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    data, groups, pipe = _fit_for(args)
+    data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups)
     if args.zero:
         c = np.zeros(S.r)
-    elif args.c_file:
+    else:
         _, rows = _read_matrix_csv(args.c_file, expect_header=False)
         c = _numbers(args.c_file, [row[:1] for row in rows])[:, 0]
         if c.shape != (S.r,):
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
-    else:
-        raise UserError("provide --zero or --c-file")
-    boot = _prepare_bootstrap(pipe, S, args)
-    outcome = test_structure(pipe.omega_on(S), c, boot, data.n, args.alpha)
+    cfg = _boot_cfg(args)
+    pipe = fit_pipeline(data, _lasso_from(args))
+    boot = _draws(pipe, S, cfg, args)
+    outcome = test_structure(pipe.omega_on(S), c, boot, args.alpha)
     payload = {
         "statistic": outcome.statistic, "quantile": outcome.quantile,
         "p_value": outcome.p_value, "reject": outcome.reject,
@@ -369,26 +364,30 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    data, groups, pipe = _fit_for(args)
+    data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups)
-    boot = _prepare_bootstrap(pipe, S, args)
-    support = recover_support(pipe.omega_on(S), S, boot, data.n, args.alpha)
+    cfg = _boot_cfg(args)
+    pipe = fit_pipeline(data, _lasso_from(args))
+    boot = _draws(pipe, S, cfg, args)
+    selected = recover_support(pipe.omega_on(S), S, boot, args.alpha)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j1", "j2", "omega"])
         omega = pipe.omega_hat
-        for j1, j2 in support.selected:
+        for j1, j2 in selected:
             writer.writerow([j1, j2, f"{omega[j1 - 1, j2 - 1]:.17g}"])
     _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
-                                     "r": S.r, "selected": len(support.selected)})
+                                     "r": S.r, "selected": len(selected)})
     return 0
 
 
 def _cmd_blocks(args) -> int:
-    _, groups, pipe = _fit_for(args)
+    data, groups = _load_dataset(args)
     if not groups:
         raise UserError("blocks needs --group-map labels")
-    result = block_test_matrix(pipe, groups, _boot_cfg(args), alpha=args.fdr,
+    cfg = _boot_cfg(args)
+    pipe = fit_pipeline(data, _lasso_from(args))
+    result = block_test_matrix(pipe, groups, cfg, alpha=args.fdr,
                                include_within=args.within,
                                threads=args.threads)
     result.write_csv(args.out)
@@ -453,9 +452,10 @@ def build_parser() -> _Parser:
     _add_common(p_test)
     _add_data_args(p_test)
     p_test.add_argument("--set", nargs="+", required=True)
-    p_test.add_argument("--zero", action="store_true",
+    target = p_test.add_mutually_exclusive_group(required=True)
+    target.add_argument("--zero", action="store_true",
                         help="test against the zero vector")
-    p_test.add_argument("--c-file", dest="c_file",
+    target.add_argument("--c-file", dest="c_file",
                         help="CSV with one target value per index pair")
 
     p_rec = sub.add_parser("recover")

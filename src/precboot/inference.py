@@ -8,8 +8,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapResult, half_width, \
-    kmb_draws, max_statistic, quantile
+from .bootstrap import BootstrapConfig, BootstrapResult, kmb_draws
 from .core import IndexSet, index_set_from_blocks, map_ordered
 from .errors import InvalidPValue, ShapeError
 from .pipeline import PipelineFit
@@ -23,37 +22,29 @@ class TestOutcome:
     p_value: float
 
 
-@dataclass
-class SupportEstimate:
-    selected: List[Tuple[int, int]]
-
-
 def test_structure(omega_s: np.ndarray, c: np.ndarray, boot: BootstrapResult,
-                   n: int, alpha: float) -> TestOutcome:
+                   alpha: float) -> TestOutcome:
     """Max-norm test of omega_S = c using bootstrap critical values."""
     omega_s = np.asarray(omega_s, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     if omega_s.shape != c.shape:
         raise ShapeError("omega_S and c must have the same length")
-    statistic = max_statistic(omega_s - c, n, boot.w_diag)
-    q = quantile(boot, 1.0 - alpha)
-    # (1 + #{T* >= T}) / (M + 1) (Phipson & Smyth 2010): never exactly 0
-    at_least = int(np.count_nonzero(boot.stats >= statistic))
-    p_value = (1 + at_least) / (boot.M + 1)
-    return TestOutcome(statistic=statistic, quantile=q,
-                       reject=statistic > q, p_value=p_value)
+    statistic = boot.statistic(omega_s - c)
+    q = boot.quantile(1.0 - alpha)
+    return TestOutcome(statistic=statistic, quantile=q, reject=statistic > q,
+                       p_value=boot.p_value(statistic))
 
 
 def recover_support(omega_hat: np.ndarray, S: IndexSet, boot: BootstrapResult,
-                    n: int, alpha: float) -> SupportEstimate:
-    """Pairs whose simultaneous confidence interval excludes zero."""
+                    alpha: float) -> List[Tuple[int, int]]:
+    """The pairs of S, in chi order, whose simultaneous confidence interval
+    excludes zero."""
     omega_s = np.asarray(omega_hat, dtype=np.float64)
-    if omega_s.shape != (S.r,):
-        raise ShapeError("omega values must be given in chi order for S")
-    threshold = half_width(quantile(boot, 1.0 - alpha), n, S.r, boot.w_diag)
-    picked = np.abs(omega_s) > threshold
-    selected = [tuple(pair) for pair in S.pairs[picked].tolist()]
-    return SupportEstimate(selected=selected)
+    if omega_s.shape != (S.r,) or boot.scale.shape != (S.r,):
+        raise ShapeError("omega values and the bootstrap must both be given "
+                         "in chi order for S")
+    picked = np.abs(omega_s) > boot.half_width(1.0 - alpha)
+    return [tuple(pair) for pair in S.pairs[picked].tolist()]
 
 
 def bh_select(p_values: Sequence[float], alpha: float) -> List[int]:
@@ -117,7 +108,6 @@ def block_test_matrix(pipe: PipelineFit, groups: dict,
             pairs.append((h1, h2))
         if include_within and len(groups[h1]) > 1:
             pairs.append((h1, h1))
-    n = pipe.data.n
 
     def test_one(item):
         idx, (h1, h2) = item
@@ -125,8 +115,7 @@ def block_test_matrix(pipe: PipelineFit, groups: dict,
         eta, h = pipe.scores(S)
         cfg = replace(boot_cfg, rng=boot_cfg.rng.child(idx))
         (boot,) = kmb_draws(eta, h, cfg, (True,))
-        outcome = test_structure(pipe.omega_on(S), np.zeros(S.r), boot, n,
-                                 alpha)
+        outcome = test_structure(pipe.omega_on(S), np.zeros(S.r), boot, alpha)
         return BlockTest(str(h1), str(h2), outcome.p_value)
 
     tests = map_ordered(test_one, enumerate(pairs), threads)

@@ -137,11 +137,11 @@ def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
 @dataclass
 class NodewiseBatch:
     """Node-wise fits of B centred samples of one shape, from one lockstep
-    solve. values[b] is sample b; alpha[b], lambdas[b] and iterations[b] are
-    the fields of its NodewiseFit, and converged[b] flags its nodes that
-    met the tolerance."""
+    solve. samples[b] is sample b as given; alpha[b], lambdas[b] and
+    iterations[b] are the fields of its NodewiseFit, and converged[b] flags
+    its nodes that met the tolerance."""
 
-    values: np.ndarray
+    samples: Sequence[Dataset]
     alpha: np.ndarray
     lambdas: np.ndarray
     iterations: np.ndarray
@@ -149,7 +149,7 @@ class NodewiseBatch:
     max_iter: int
 
     def sample(self, b: int) -> Dataset:
-        return Dataset(self.values[b], centered=True)
+        return self.samples[b]
 
     def fit(self, b: int) -> NodewiseFit:
         """Sample b's fit with its residuals. Warns, in node order, for each
@@ -163,7 +163,7 @@ class NodewiseBatch:
                           f"after {self.max_iter} sweeps", ConvergenceWarning)
         alpha = self.alpha[b]
         return NodewiseFit(alpha=alpha, lambdas=self.lambdas[b],
-                           residuals=-(self.values[b] @ alpha.T),
+                           residuals=-(self.samples[b].values @ alpha.T),
                            iterations=self.iterations[b])
 
 
@@ -182,7 +182,7 @@ def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
     alpha, sweeps, converged = _cd_lockstep(gram, lambdas.ravel(), cfg.tol,
                                             cfg.max_iter)
     return NodewiseBatch(
-        values=np.stack([d.values for d in samples]),
+        samples=samples,
         alpha=alpha.reshape(n_b, p, p), lambdas=lambdas,
         iterations=sweeps.reshape(n_b, p),
         converged=converged.reshape(n_b, p), max_iter=cfg.max_iter)

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, kmb_draws, max_statistic, quantile
+from .bootstrap import BootstrapConfig, kmb_draws, max_statistic
 from .core import Dataset, IndexSet, RngSpec, SymMatrix, center, \
     index_set_all_offdiag, index_set_from_mask, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
@@ -136,7 +136,8 @@ def _truth_stats(pipe: PipelineFit, S: IndexSet, omega_true_s: np.ndarray,
     eta, h = pipe.scores(S)
     w = w_diag_fn(eta, h, boot_cfg.bandwidth_for(eta), boot_cfg.kernel)
     n = pipe.data.n
-    return max_statistic(dev, n), max_statistic(dev, n, w)
+    return max_statistic(dev, n, np.ones(S.r)), \
+        max_statistic(dev, n, np.sqrt(w))
 
 
 def _fit_chunk(dgp: DgpSpec, stage: int, keys: range, lasso_cfg: LassoConfig,
@@ -233,8 +234,8 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
         res_plain, res_stud = kmb_draws(eta, h, cfg, (False, True))
         cov = {}
         for level in DEFAULT_LEVELS:
-            q_p = quantile(res_plain, level)
-            q_s = quantile(res_stud, level)
+            q_p = res_plain.quantile(level)
+            q_s = res_stud.quantile(level)
             cov[(KMB, level)] = float(np.mean(bench_plain <= q_p))
             cov[(SKMB, level)] = float(np.mean(bench_stud <= q_s))
         return cov

@@ -79,9 +79,9 @@ def fit_node(data, j, lam, cfg):
     return batch.alpha[0, j - 1], int(batch.iterations[0, j - 1])
 
 
-def draw_vectors(eta, h_diag, cfg, w=None, n_by_n=None):
+def draw_vectors(eta, h_diag, cfg, coord_sd=None, n_by_n=None):
     """Full r x M matrix of bootstrap vectors at the fixed ``cfg.bandwidth``,
-    divided entrywise by sqrt(w) when w is given. Column m is
+    divided entrywise by coord_sd when it is given. Column m is
     diag(h) eta' L z_m / sqrt(n), with L L' = A the multiplier covariance and
     z_m the n standard normals of draw m's own substream, when r >= n or
     ``n_by_n``; otherwise it is diag(h) R z_m / sqrt(n), with R R' = eta' A eta
@@ -100,8 +100,8 @@ def draw_vectors(eta, h_diag, cfg, w=None, n_by_n=None):
     z = np.column_stack([cfg.rng.generator(m).standard_normal(factor.shape[1])
                          for m in range(cfg.M)])
     scale = h_diag / math.sqrt(n)
-    if w is not None:
-        scale = scale / np.sqrt(w)
+    if coord_sd is not None:
+        scale = scale / coord_sd
     proj = eta.T @ (factor @ z) if n_by_n else factor @ z
     return scale[:, None] * proj
 

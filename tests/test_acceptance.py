@@ -13,7 +13,7 @@ import pytest
 from precboot import Dataset, RngSpec, center, coverage_experiment, \
     estimate_omega, estimate_v, fit_all, multiplier_cov, recover_support
 from precboot.inference import test_structure as structure_test
-from precboot.bootstrap import BootstrapConfig, kmb_draws, quantile
+from precboot.bootstrap import BootstrapConfig, kmb_draws
 from precboot.core import IndexSet, index_set_all_offdiag
 from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v
 from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas
@@ -208,11 +208,10 @@ class TestCriterion7SupportRecovery:
             cfg = BootstrapConfig(rng=boot_rng.child(rep), M=500,
                                   bandwidth=s_n)
             (boot,) = kmb_draws(eta, h, cfg)
-            est = recover_support(pipe.omega_on(S), S, boot, n, alpha)
-            selected = set(est.selected)
+            selected = set(recover_support(pipe.omega_on(S), S, boot, alpha))
             exact += selected == true_support
             false_pos += bool(selected & zero_keys)
-            threshold_sum += quantile(boot, 1.0 - alpha) / math.sqrt(n)
+            threshold_sum += boot.quantile(1.0 - alpha) / math.sqrt(n)
         fwer = false_pos / reps
         threshold = threshold_sum / reps
         # the method promises FWER <= alpha; allow three binomial SEs
@@ -243,15 +242,14 @@ class TestCriterion8NullCalibration:
             res_plain, res_stud = kmb_draws(eta, h, cfg, (False, True))
             omega_s = pipe.omega_on(S)
             c = np.zeros(S.r)
-            out_p = structure_test(omega_s, c, res_plain, n, alpha)
-            out_s = structure_test(omega_s, c, res_stud, n, alpha)
+            out_p = structure_test(omega_s, c, res_plain, alpha)
+            out_s = structure_test(omega_s, c, res_stud, alpha)
             rej_plain += out_p.reject
             rej_stud += out_s.reject
             # under the global null, any support-recovery selection is a
             # false positive; this reuses the same replicates for the FWER
             # module invariant
-            sup = recover_support(omega_s, S, res_plain, n, alpha)
-            any_fp += bool(sup.selected)
+            any_fp += bool(recover_support(omega_s, S, res_plain, alpha))
         rate_p, rate_s = rej_plain / reps, rej_stud / reps
         fwer = any_fp / reps
         ok = 0.02 <= rate_p <= 0.09 and 0.02 <= rate_s <= 0.09 \

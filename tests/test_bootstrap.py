@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from precboot import Dataset, RngSpec, center, confidence_region, \
-    fit_pipeline, gaussian_mult_factor, index_set_all_offdiag, kmb_draws, \
-    multiplier_cov, precision, quantile
+from precboot import Dataset, IndexSet, RngSpec, center, fit_pipeline, \
+    gaussian_mult_factor, index_set_all_offdiag, kmb_draws, multiplier_cov, \
+    precision, recover_support
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, max_statistic, psd_factor, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, ShapeError
+from precboot.inference import test_structure as structure_test
 from precboot.longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
     w_diag
 
@@ -20,9 +21,11 @@ QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
 BART = KernelSpec(kind="bartlett")
 
 
-def result_from(stats, w=None):
+def result_from(stats, n=100, sd=(1.0,)):
+    """A result of the given draws; ``sd`` is its coordinate scales."""
     return BootstrapResult(stats=np.sort(np.asarray(stats, dtype=np.float64)),
-                           bandwidth=1.0, w_diag=w)
+                           bandwidth=1.0, n=n,
+                           scale=np.asarray(sd, dtype=np.float64))
 
 
 class TestMultiplierFactor:
@@ -171,10 +174,11 @@ class TestKmbDraws:
             eta = rng.standard_normal((n, r))
             h = rng.uniform(0.5, 2.0, r)
             plain, stud = kmb_draws(eta, h, cfg, (False, True))
-            w = w_diag(eta, h, 2.0, QS)
-            np.testing.assert_array_equal(stud.w_diag, w)
+            sd = np.sqrt(w_diag(eta, h, 2.0, QS))
+            np.testing.assert_array_equal(plain.scale, np.ones(r))
+            np.testing.assert_array_equal(stud.scale, sd)
             for res, vectors in ((plain, draw_vectors(eta, h, cfg)),
-                                 (stud, draw_vectors(eta, h, cfg, w))):
+                                 (stud, draw_vectors(eta, h, cfg, sd))):
                 np.testing.assert_allclose(
                     np.sort(np.abs(vectors).max(axis=0)), res.stats,
                     atol=1e-12)
@@ -191,8 +195,8 @@ class TestKmbDraws:
             assert np.all(np.isfinite(plain.stats))
             assert np.all(np.isfinite(stud.stats))
             if r >= n:
-                for res, w in ((plain, None), (stud, stud.w_diag)):
-                    vectors = draw_vectors(eta, h, cfg, w)
+                for res in (plain, stud):
+                    vectors = draw_vectors(eta, h, cfg, res.scale)
                     np.testing.assert_array_equal(
                         np.sort(np.abs(vectors).max(axis=0)), res.stats)
 
@@ -218,15 +222,15 @@ class TestKmbDraws:
                 assert a.bandwidth == b.bandwidth == c.bandwidth
                 np.testing.assert_array_equal(a.stats, b.stats)
                 np.testing.assert_allclose(a.stats, c.stats, rtol=1e-12)
-            np.testing.assert_array_equal(lazy[1].w_diag, dense[1].w_diag)
-            np.testing.assert_allclose(lazy[1].w_diag, want[1].w_diag,
+            np.testing.assert_array_equal(lazy[1].scale, dense[1].scale)
+            np.testing.assert_allclose(lazy[1].scale, want[1].scale,
                                        rtol=1e-12)
 
     def test_scores_are_never_held_whole(self, monkeypatch):
         # p = 120, n = 100 offdiag: r = 14,280 columns, 11.4 MB of scores if
         # they were formed at once; read a block at a time, the draws hold a
         # few n x SCORE_BLOCK blocks besides their length-r vectors (pair
-        # indices, h, scales, w_diag)
+        # indices, h, draw scales, w_diag and its square root)
         monkeypatch.setattr(precision, "SCORE_BLOCK", 512)
         n, p = 100, 120
         y = serially_dependent(np.random.default_rng(3), n, p)
@@ -253,8 +257,9 @@ class TestKmbDraws:
         (sep_stud,) = kmb_draws(eta, h, cfg, (True,))
         np.testing.assert_array_equal(plain.stats, sep_plain.stats)
         np.testing.assert_array_equal(stud.stats, sep_stud.stats)
-        assert plain.w_diag is None
-        np.testing.assert_array_equal(stud.w_diag, sep_stud.w_diag)
+        assert plain.n == stud.n == 30
+        np.testing.assert_array_equal(plain.scale, sep_plain.scale)
+        np.testing.assert_array_equal(stud.scale, sep_stud.scale)
 
     def test_plug_in_bandwidth_when_none(self, rng):
         eta = rng.standard_normal((40, 3))
@@ -263,7 +268,7 @@ class TestKmbDraws:
         s_n = andrews_bandwidth(eta, cfg.kernel)
         assert plain.bandwidth == stud.bandwidth == s_n
         np.testing.assert_array_equal(
-            stud.w_diag, w_diag(eta, np.ones(3), s_n, cfg.kernel))
+            stud.scale, np.sqrt(w_diag(eta, np.ones(3), s_n, cfg.kernel)))
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0,
                                            -2.0])
@@ -274,56 +279,122 @@ class TestKmbDraws:
 
 class TestQuantile:
     def test_median(self):
-        assert quantile(result_from([1, 2, 3, 4]), 0.5) == 2.0
+        assert result_from([1, 2, 3, 4]).quantile(0.5) == 2.0
 
     def test_upper(self):
-        assert quantile(result_from([1, 2, 3, 4]), 0.95) == 4.0
+        assert result_from([1, 2, 3, 4]).quantile(0.95) == 4.0
 
     def test_invalid_levels(self):
         res = result_from([1, 2, 3])
         for level in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidLevel):
-                quantile(res, level)
+                res.quantile(level)
+            with pytest.raises(InvalidLevel):
+                res.half_width(level)
 
     def test_monotone_in_level(self, rng):
         res = result_from(rng.standard_normal(97) ** 2)
         levels = np.linspace(0.01, 0.99, 25)
-        qs = [quantile(res, lv) for lv in levels]
+        qs = [res.quantile(lv) for lv in levels]
         assert all(b >= a for a, b in zip(qs, qs[1:]))
 
 
 class TestConfidenceRegion:
+    # the box omega_s +- half_width(level), as `estimate` writes it
     def test_arithmetic(self):
-        region = confidence_region(np.array([0.5]), 2.0, 100)
+        half = result_from([2.0], n=100).half_width(0.5)
+        region = np.column_stack([0.5 - half, 0.5 + half])
         np.testing.assert_allclose(region, [[0.3, 0.7]], atol=1e-15)
 
     def test_zero_quantile_degenerate(self):
-        region = confidence_region(np.array([0.1, -0.2]), 0.0, 25)
-        np.testing.assert_allclose(region[:, 0], region[:, 1], atol=1e-15)
+        half = result_from([0.0], n=25, sd=[1.0, 1.0]).half_width(0.9)
+        omega_s = np.array([0.1, -0.2])
+        np.testing.assert_array_equal(omega_s - half, omega_s + half)
 
     def test_studentized_scaling(self):
-        base = confidence_region(np.array([0.0]), 1.0, 4,
-                                 w_diag=np.array([1.0]))
-        wide = confidence_region(np.array([0.0]), 1.0, 4,
-                                 w_diag=np.array([4.0]))
-        assert wide[0, 1] == pytest.approx(2.0 * base[0, 1], abs=1e-15)
+        base = result_from([1.0], n=4, sd=[1.0]).half_width(0.5)
+        wide = result_from([1.0], n=4, sd=[2.0]).half_width(0.5)
+        assert wide[0] == pytest.approx(2.0 * base[0], abs=1e-15)
 
-    def test_w_diag_must_match(self):
+    def test_scale_must_match(self):
+        boot = result_from([1.0], n=4, sd=[1.0, 2.0, 3.0])
         with pytest.raises(ShapeError):
-            confidence_region(np.zeros(2), 1.0, 4, w_diag=np.ones(3))
+            recover_support(np.zeros(2), IndexSet(np.array([[1, 2], [2, 1]])),
+                            boot, 0.05)
 
 
 class TestMaxStatistic:
     def test_plain_and_studentized(self, rng):
         dev = rng.standard_normal(7)
         w = rng.uniform(0.5, 2.0, 7)
-        assert max_statistic(dev, 90) == math.sqrt(90) * np.abs(dev).max()
-        assert max_statistic(dev, 90, w) == \
+        assert max_statistic(dev, 90, np.ones(7)) == \
+            math.sqrt(90) * np.abs(dev).max()
+        assert max_statistic(dev, 90, np.sqrt(w)) == \
             math.sqrt(90) * (np.abs(dev) / np.sqrt(w)).max()
 
-    def test_w_diag_must_match(self):
+    def test_scale_must_match(self):
         with pytest.raises(ShapeError):
-            max_statistic(np.zeros(2), 4, w_diag=np.ones(3))
+            max_statistic(np.zeros(2), 4, np.ones(3))
+
+
+def parent_quantile(stats, level):
+    return float(stats[math.ceil(stats.size * level) - 1])
+
+
+def parent_half_width(q, n, r, w=None):
+    half = np.full(r, q / math.sqrt(n))
+    return half if w is None else half * np.sqrt(w)
+
+
+def parent_max_statistic(dev, n, w=None):
+    dev = np.abs(dev)
+    if w is not None:
+        dev = dev / np.sqrt(w)
+    return math.sqrt(n) * float(dev.max())
+
+
+def parent_p_value(stats, statistic):
+    return (1 + int(np.count_nonzero(stats >= statistic))) / (stats.size + 1)
+
+
+class TestResultMethods:
+    """The result's methods against the free functions they replaced, bit
+    for bit, on real draws: plain and studentized, on both draw routes."""
+
+    @pytest.mark.parametrize("n, r", [(40, 6), (12, 30)])
+    def test_bitwise_equal_to_free_functions(self, rng, n, r):
+        eta = serially_dependent(rng, n, r)
+        h = rng.uniform(0.5, 2.0, r)
+        cfg = BootstrapConfig(rng=RngSpec(17), M=301, bandwidth=2.2)
+        plain, stud = kmb_draws(eta, h, cfg, (False, True))
+        w = w_diag(eta, h, 2.2, QS)
+        dev = rng.standard_normal(r) * 0.3
+        for res, wd in ((plain, None), (stud, w)):
+            assert res.n == n
+            for level in (0.05, 0.5, 0.9, 0.95, 0.999):
+                q = parent_quantile(res.stats, level)
+                assert res.quantile(level) == q
+                np.testing.assert_array_equal(
+                    res.half_width(level), parent_half_width(q, n, r, wd))
+            t = res.statistic(dev)
+            assert t == parent_max_statistic(dev, n, wd)
+            for stat in (t, 0.0, res.stats[0], res.stats[150], np.inf):
+                assert res.p_value(stat) == parent_p_value(res.stats, stat)
+
+    def test_wrong_length_raises_shape_error(self, rng):
+        # a plain result over r = 56 coordinates judges only 56-vectors
+        eta = rng.standard_normal((20, 56))
+        cfg = BootstrapConfig(rng=RngSpec(3), M=50, bandwidth=1.5)
+        (boot,) = kmb_draws(eta, np.ones(56), cfg)
+        assert boot.scale.shape == (56,)
+        dev = np.full(5, 0.1)
+        with pytest.raises(ShapeError):
+            boot.statistic(dev)
+        with pytest.raises(ShapeError):
+            structure_test(dev, np.zeros(5), boot, 0.05)
+        S = IndexSet(np.array([[1, 2], [1, 3], [2, 3], [2, 1], [3, 1]]))
+        with pytest.raises(ShapeError):
+            recover_support(dev, S, boot, 0.05)
 
 
 def quantile_and_se(stats, level):
@@ -347,8 +418,8 @@ class TestDistributionalCorrectness:
         cfg = BootstrapConfig(rng=RngSpec(31), M=20000, bandwidth=3.0)
         ref_cfg = BootstrapConfig(rng=RngSpec(32), M=20000, bandwidth=3.0)
         plain, stud = kmb_draws(eta, h, cfg, (False, True))
-        for res, w in ((plain, None), (stud, stud.w_diag)):
-            ref = np.sort(np.abs(draw_vectors(eta, h, ref_cfg, w,
+        for res in (plain, stud):
+            ref = np.sort(np.abs(draw_vectors(eta, h, ref_cfg, res.scale,
                                               n_by_n=True)).max(axis=0))
             for level in (0.90, 0.95, 0.99):
                 q, se = quantile_and_se(res.stats, level)

@@ -253,6 +253,40 @@ class TestRecoverCommand:
         assert manifest["studentized"] is False and manifest["alpha"] == 0.05
 
 
+class TestInputsCheckedBeforeFit:
+    """Every command checks its set, groups, target and bootstrap settings
+    before it fits, so a bad input costs no fit and writes no file."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def fit_pipeline(*args, **kwargs):
+            raise AssertionError("fit_pipeline called")
+        monkeypatch.setattr("precboot.cli.fit_pipeline", fit_pipeline)
+
+    @pytest.mark.parametrize("argv", [
+        ["blocks"],
+        ["recover", "--set", "everything"],
+        ["recover", "--set", "offdiag", "--bandwidth", "-1"],
+        ["test", "--set", "offdiag"],
+        ["test", "--set", "offdiag", "--zero", "--c-file", "c.csv"],
+        ["test", "--set", "offdiag", "--c-file", "c.csv"],
+        ["estimate", "--set", "everything"],
+        ["estimate", "--bandwidth", "0"],
+    ], ids=["blocks-no-group-map", "recover-unknown-set",
+            "recover-bad-bandwidth", "test-no-target", "test-both-targets",
+            "test-short-c-file", "estimate-unknown-set",
+            "estimate-bad-bandwidth"])
+    def test_exits_1_without_fitting(self, tmp_path, data_csv, argv):
+        path, _ = data_csv
+        (tmp_path / "c.csv").write_text("0\n")  # 1 value, |offdiag| = 56
+        argv = [tmp_path / a if a == "c.csv" else a for a in argv]
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--data", path, "--boot-M", "10",
+                               "--out", out]) == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == \
+            ["c.csv", "data.csv"]
+
+
 def two_group_prices(tmp_path):
     """A 60-day price CSV of four symbols and a map of them to two groups."""
     rng = np.random.default_rng(8)

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from precboot import RngSpec, bh_select, block_test_matrix, \
-    confidence_region, fit_pipeline, quantile, recover_support
+from precboot import RngSpec, bh_select, block_test_matrix, fit_pipeline, \
+    recover_support
 from precboot.inference import test_structure as structure_test
 from precboot.bootstrap import BootstrapConfig, BootstrapResult
 from precboot.core import IndexSet
@@ -13,94 +13,93 @@ from precboot.errors import InvalidPValue, ShapeError
 from precboot.simulate import DgpSpec, generate
 
 
-def result_from(stats, w=None):
+def result_from(stats, n, r=1, w=None):
+    """A result of the given draws over r coordinates, studentized by w when
+    it is given."""
+    scale = np.ones(r) if w is None else np.sqrt(np.asarray(w, dtype=float))
     return BootstrapResult(stats=np.sort(np.asarray(stats, dtype=np.float64)),
-                           bandwidth=1.0,
-                           w_diag=None if w is None else np.asarray(w))
+                           bandwidth=1.0, n=n, scale=scale)
 
 
 class TestTestStructure:
     def test_large_statistic_rejects(self):
-        boot = result_from([1.0, 1.5, 2.0, 2.5])
+        boot = result_from([1.0, 1.5, 2.0, 2.5], n=100)
         out = structure_test(np.array([0.5]), np.array([0.0]), boot,
-                             n=100, alpha=0.05)
+                             alpha=0.05)
         assert out.statistic == pytest.approx(5.0)
         assert out.reject
 
     def test_exact_null_never_rejects(self):
-        boot = result_from([0.0, 1.0, 2.0])
+        boot = result_from([0.0, 1.0, 2.0], n=50, r=2)
         omega = np.array([0.3, -0.2])
-        out = structure_test(omega, omega.copy(), boot, n=50, alpha=0.1)
+        out = structure_test(omega, omega.copy(), boot, alpha=0.1)
         assert out.statistic == 0.0 and not out.reject
 
     def test_p_value_counting(self):
-        boot = result_from([1.0, 2.0, 3.0, 4.0])
+        boot = result_from([1.0, 2.0, 3.0, 4.0], n=100)
         out = structure_test(np.array([0.25]), np.array([0.0]), boot,
-                             n=100, alpha=0.5)
+                             alpha=0.5)
         assert out.statistic == pytest.approx(2.5)
         assert out.p_value == pytest.approx(0.6)  # (1 + 2) / (4 + 1)
 
     def test_studentized_statistic(self):
-        boot = result_from([1.0, 2.0], w=[4.0])
+        boot = result_from([1.0, 2.0], n=100, w=[4.0])
         out = structure_test(np.array([0.4]), np.array([0.0]), boot,
-                             n=100, alpha=0.5)
+                             alpha=0.5)
         assert out.statistic == pytest.approx(2.0)  # 10*0.4/sqrt(4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            structure_test(np.zeros(2), np.zeros(3), result_from([1.0]),
-                           n=10, alpha=0.05)
+            structure_test(np.zeros(2), np.zeros(3),
+                           result_from([1.0], n=10, r=2), alpha=0.05)
 
     def test_reject_iff_p_below_grid_level(self, rng):
         # with q = ceil(M(1-a))-th order stat: reject <=> p <= 1 - ceil(M(1-a))/M
         for _ in range(50):
             m = int(rng.integers(5, 40))
             alpha = float(rng.uniform(0.05, 0.5))
-            boot = result_from(rng.standard_normal(m) ** 2)
+            boot = result_from(rng.standard_normal(m) ** 2, n=25, r=3)
             omega = rng.standard_normal(3) * 0.2
-            out = structure_test(omega, np.zeros(3), boot, n=25, alpha=alpha)
+            out = structure_test(omega, np.zeros(3), boot, alpha=alpha)
             k = math.ceil(m * (1.0 - alpha))
             count_at_least = round(out.p_value * (m + 1)) - 1
             assert out.reject == (count_at_least <= m - k)
 
     def test_reject_iff_outside_region(self, rng):
         for _ in range(50):
-            boot = result_from(rng.standard_normal(20) ** 2)
+            boot = result_from(rng.standard_normal(20) ** 2, n=30, r=4)
             omega = rng.standard_normal(4) * 0.3
             c = rng.standard_normal(4) * 0.3
-            n = 30
-            out = structure_test(omega, c, boot, n=n, alpha=0.1)
-            region = confidence_region(omega, quantile(boot, 0.9), n)
-            inside = np.all((c >= region[:, 0]) & (c <= region[:, 1]))
+            out = structure_test(omega, c, boot, alpha=0.1)
+            half = boot.half_width(0.9)
+            inside = np.all((c >= omega - half) & (c <= omega + half))
             assert out.reject == (not inside)
 
 
 class TestRecoverSupport:
     def test_threshold_rule(self):
         S = IndexSet(np.array([[1, 2], [1, 3]]))
-        boot = result_from([1.0] * 10)
-        est = recover_support(np.array([0.5, 0.01]), S, boot, n=100,
-                              alpha=0.05)
-        assert est.selected == [(1, 2)]
+        boot = result_from([1.0] * 10, n=100, r=2)
+        est = recover_support(np.array([0.5, 0.01]), S, boot, alpha=0.05)
+        assert est == [(1, 2)]
 
     def test_huge_quantile_empty(self):
         S = IndexSet(np.array([[1, 2]]))
-        boot = result_from([1e9])
-        est = recover_support(np.array([0.5]), S, boot, n=100, alpha=0.05)
-        assert est.selected == []
+        boot = result_from([1e9], n=100)
+        est = recover_support(np.array([0.5]), S, boot, alpha=0.05)
+        assert est == []
 
     def test_zero_estimates_empty(self):
         S = IndexSet(np.array([[1, 2]]))
-        boot = result_from([0.5])
-        est = recover_support(np.zeros(1), S, boot, n=100, alpha=0.05)
-        assert est.selected == []
+        boot = result_from([0.5], n=100)
+        est = recover_support(np.zeros(1), S, boot, alpha=0.05)
+        assert est == []
 
     def test_studentized_threshold(self):
         S = IndexSet(np.array([[1, 2], [2, 3]]))
-        boot = result_from([1.0] * 4, w=[1.0, 100.0])
-        est = recover_support(np.array([0.5, 0.5]), S, boot, n=100,
-                              alpha=0.05)
-        assert est.selected == [(1, 2)]  # the inflated scale blocks the second
+        boot = result_from([1.0] * 4, n=100, w=[1.0, 100.0])
+        est = recover_support(np.array([0.5, 0.5]), S, boot, alpha=0.05)
+        assert est == [(1, 2)]  # the inflated scale blocks the second
 
 
 class TestBhSelect:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from precboot import Dataset, RngSpec, bh_select, fit_pipeline, \
-    index_set_all_offdiag, kmb_draws, quantile, recover_support
-from precboot.bootstrap import BootstrapConfig, half_width
+    index_set_all_offdiag, kmb_draws, recover_support
+from precboot.bootstrap import BootstrapConfig
 from precboot.nodewise import LassoConfig
 from precboot.simulate import DgpSpec, generate
 
@@ -62,12 +62,10 @@ class TestVariablePermutation:
             eta, h = pipe.scores(S)
             (boot,) = kmb_draws(eta, h, cfg, (studentized,))
             omega_s = pipe.omega_on(S)
-            threshold = half_width(quantile(boot, 1.0 - alpha), self.N, S.r,
-                                   boot.w_diag)
+            threshold = boot.half_width(1.0 - alpha)
             # premise: no |omega| is within reach of its threshold
             assert np.abs(np.abs(omega_s) - threshold).min() > 1e-4
-            edges.append(recover_support(omega_s, S, boot, self.N,
-                                         alpha).selected)
+            edges.append(recover_support(omega_s, S, boot, alpha))
         assert edges[0]
         mapped = {(perm[j1 - 1] + 1, perm[j2 - 1] + 1) for j1, j2 in edges[1]}
         assert mapped == set(edges[0])

@@ -5,7 +5,7 @@ import pytest
 
 from precboot import RngSpec, build_sigma, coverage_experiment, generate, \
     true_zero_set
-from precboot.bootstrap import BootstrapConfig
+from precboot.bootstrap import BootstrapConfig, BootstrapResult
 from precboot.errors import InvalidDimension, InvalidInput
 from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
 from precboot.nodewise import LassoConfig
@@ -122,9 +122,8 @@ class TestCoverageExperiment:
         return BootstrapConfig(rng=RngSpec(3, "boot"), M=M, bandwidth=1.0)
 
     def test_forced_infinite_quantile_gives_full_coverage(self, monkeypatch):
-        import precboot.simulate as sim
-
-        monkeypatch.setattr(sim, "quantile", lambda result, level: np.inf)
+        monkeypatch.setattr(BootstrapResult, "quantile",
+                            lambda result, level: np.inf)
         dgp = DgpSpec("A", 6, 0.0, 40, RngSpec(3, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=1,
                                   boot_cfg=self.small_cfg(M=2), truth_reps=5)
@@ -132,9 +131,8 @@ class TestCoverageExperiment:
             assert all(v == 1.0 for v in rep.mean[method].values())
 
     def test_forced_zero_quantile_gives_no_coverage(self, monkeypatch):
-        import precboot.simulate as sim
-
-        monkeypatch.setattr(sim, "quantile", lambda result, level: -1.0)
+        monkeypatch.setattr(BootstrapResult, "quantile",
+                            lambda result, level: -1.0)
         dgp = DgpSpec("A", 6, 0.0, 40, RngSpec(3, "dgp"))
         rep = coverage_experiment(dgp, "zeros", replicates=1,
                                   boot_cfg=self.small_cfg(M=2), truth_reps=5)
