@@ -190,16 +190,24 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
              for m in starts]
     stats = np.zeros((len(scales), cfg.M))
+    # |projections| and their scaled copies go to two reused buffers
+    size = min(r, precision.SCORE_BLOCK) * min(cfg.M, DRAW_CHUNK)
+    mag_buf, scaled_buf = np.empty(size), np.empty(size)
     for start in range(0, r, precision.SCORE_BLOCK):
         stop = min(start + precision.SCORE_BLOCK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
+            shape = (stop - start, g.shape[1])
+            mag = mag_buf[:shape[0] * shape[1]].reshape(shape)
+            scaled = scaled_buf[:mag.size].reshape(shape)
             # on the r < n route the draws are already the r projections;
             # |s x| == s |x| for s > 0, so one abs serves every scale
-            mag = np.abs(cols_t @ g if r >= n else g[start:stop])
+            np.abs(np.matmul(cols_t, g, out=mag) if r >= n
+                   else g[start:stop], out=mag)
             for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
-                np.maximum(best, (scale[start:stop, None] * mag).max(axis=0),
-                           out=best)
+                np.multiply(scale[start:stop, None], mag, out=scaled)
+                np.maximum(best, scaled.max(axis=0), out=best)
+        del cols_t  # release this block before forming the next
     stats.sort(axis=1)
     return [BootstrapResult(stats=row, bandwidth=float(s_n), n=n,
                             scale=sd if stud else np.ones(r))

@@ -54,9 +54,15 @@ def center(data: Dataset) -> Dataset:
     """Subtract each column's sample mean. Idempotent."""
     if data.centered:
         return data
-    values = data.values - data.values.mean(axis=0)
+    return center_in_place(data.values.copy())
+
+
+def center_in_place(values: np.ndarray) -> Dataset:
+    """Subtract each column's sample mean from the n x p float64 array
+    ``values`` itself, and return it as a centred Dataset (no copy)."""
+    values -= values.mean(axis=0)
     # kill residual rounding so the centered invariant holds exactly enough
-    values = values - values.mean(axis=0)
+    values -= values.mean(axis=0)
     return Dataset(values, centered=True)
 
 

@@ -4,6 +4,17 @@ Estimates the long-run variances of the residual-product scores (the
 diagonal of the kernel-weighted sum of sample autocovariances, used for
 Studentization) with the quadratic spectral and Bartlett kernels, and an
 AR(1) plug-in bandwidth.
+
+Both are sums over lags of products of scores, and both read the scores by
+one of two routes:
+
+  * moments: when the score source offers ``moments`` (the
+    ``precision.ScoreMoments`` of a ``LazyEta`` whose index set is dense in
+    the variables U it touches, r >= |U|(|U| - 1)/2), the sums come from
+    |U| x |U| lag Gram matrices of the residuals and no score column is
+    formed;
+  * columns: otherwise (an ndarray, or a sparse set such as one block pair)
+    the columns are read, and ``w_diag`` takes a banded Toeplitz product.
 """
 from __future__ import annotations
 
@@ -23,8 +34,10 @@ BARTLETT = "bartlett"
 # columns used for bandwidth selection at huge r (evenly spaced, deterministic)
 BANDWIDTH_MAX_COLUMNS = 5000
 
-# w_diag copies its lag-weight matrix out in row chunks of at most this many
-# entries (32 MB); up to n = 2048 that is one chunk
+# on the column route w_diag copies its lag-weight matrix out in blocks of
+# TOEPLITZ_ROWS rows (fewer when a block would pass TOEPLITZ_MAX_ENTRIES
+# entries, 32 MB), each cut to the band of lags that carry weight
+TOEPLITZ_ROWS = 64
 TOEPLITZ_MAX_ENTRIES = 2**22
 
 RHO_CLIP = 0.97
@@ -67,13 +80,23 @@ def h_diag_from_v(v: SymMatrix, S: IndexSet) -> np.ndarray:
 
 def _ar1_summaries(eta):
     """Per-column AR(1) lag-1 correlation and innovation variance, over at
-    most BANDWIDTH_MAX_COLUMNS evenly spaced columns."""
+    most BANDWIDTH_MAX_COLUMNS evenly spaced columns; from ``eta.moments``
+    when the scores offer them."""
     n, r = eta.shape
     if r > BANDWIDTH_MAX_COLUMNS:
         idx = np.unique(np.linspace(0, r - 1, BANDWIDTH_MAX_COLUMNS)
                         .astype(np.int64))
     else:
         idx = np.arange(r)
+    moments = getattr(eta, "moments", None)
+    if moments is not None:
+        denom, lag1, tail = moments.ar1_sums(idx)
+        keep = denom > 0.0
+        if not np.any(keep):
+            return None, None
+        denom, lag1, tail = denom[keep], lag1[keep], tail[keep]
+        r1 = np.clip(lag1 / denom, -RHO_CLIP, RHO_CLIP)
+        return r1, (tail - 2.0 * r1 * lag1 + r1 * r1 * denom) / (n - 1)
     # x is a gathered copy, so the in-place steps never touch eta; buf takes
     # x's layout, so each sum runs in the order of the broadcast form
     x = eta[:, idx]
@@ -140,16 +163,40 @@ def lag_toeplitz(w: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1][:n]
 
 
+def _toeplitz_forms(eta, weights: np.ndarray):
+    """(x' T x, x' x) for every column x of eta, T = lag_toeplitz(weights):
+    a matrix product per block of SCORE_BLOCK columns and TOEPLITZ_ROWS rows
+    of T, each row block cut to the band of lags that carry weight and
+    copied to C order first."""
+    n, r = eta.shape
+    toeplitz = lag_toeplitz(weights)
+    reach = int(np.flatnonzero(weights)[-1])
+    chunk = max(1, min(TOEPLITZ_ROWS, TOEPLITZ_MAX_ENTRIES // n))
+    quad = np.zeros(r)
+    lag0 = np.empty(r)
+    for start in range(0, r, precision.SCORE_BLOCK):
+        stop = min(start + precision.SCORE_BLOCK, r)
+        cols, block = eta[:, start:stop], quad[start:stop]
+        for a in range(0, n, chunk):
+            b = min(a + chunk, n)
+            lo, hi = max(0, a - reach), min(n, b + reach)
+            t_rows = np.ascontiguousarray(toeplitz[a:b, lo:hi])
+            block += (cols[a:b] * (t_rows @ cols[lo:hi])).sum(axis=0)
+        lag0[start:stop] = (cols * cols).sum(axis=0)
+    return quad, lag0
+
+
 def w_diag(eta, h_diag: np.ndarray, s_n: float,
            kernel: KernelSpec) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
 
     The kernel-weighted autocovariance sum of column x_l is the quadratic
     form x_l' T x_l / n with T[t, s] = K(|t - s| / S_n), so W_ll = h_l^2
-    x_l' T x_l / n: a matrix product per column block. T is the strided
-    view of ``lag_toeplitz``, copied out in row chunks of at most
-    TOEPLITZ_MAX_ENTRIES entries, each restricted to the band of lags that
-    carry weight, so memory stays bounded at large n.
+    x_l' T x_l / n. When the scores offer ``eta.moments``, the forms come
+    from lag Gram matrices of the residuals (``ScoreMoments.quadratic_forms``)
+    and no column is formed; otherwise from a banded Toeplitz product per
+    block of columns (``_toeplitz_forms``). The two routes agree to
+    rounding, not bitwise.
 
     Non-positive entries are floored at W_FLOOR_EPS times the lag-0 value and
     a DegenerateVariance warning is emitted.
@@ -158,30 +205,17 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float,
     if h_diag.shape != (r,):
         raise InvalidInput("h_diag length must match the number of score columns")
     weights = kernel_lag_weights(kernel, n, s_n)
-    toeplitz = lag_toeplitz(weights)
-    reach = int(np.flatnonzero(weights)[-1])
-    chunk = max(1, TOEPLITZ_MAX_ENTRIES // n)
-    out = np.empty(r)
-    floored = 0
-    for start in range(0, r, precision.SCORE_BLOCK):
-        stop = min(start + precision.SCORE_BLOCK, r)
-        cols = eta[:, start:stop]
-        quad = np.zeros(stop - start)
-        for a in range(0, n, chunk):
-            b = min(a + chunk, n)
-            lo, hi = max(0, a - reach), min(n, b + reach)
-            t_rows = np.ascontiguousarray(toeplitz[a:b, lo:hi])
-            quad += (cols[a:b] * (t_rows @ cols[lo:hi])).sum(axis=0)
-        h2 = h_diag[start:stop] ** 2
-        w = h2 * quad / n
-        base = h2 * (cols * cols).sum(axis=0) / n
-        floor = W_FLOOR_EPS * np.where(base > 0.0, base, W_FLOOR_EPS)
-        bad = w <= 0.0
-        floored += int(bad.sum())
-        out[start:stop] = np.where(bad, floor, w)
+    moments = getattr(eta, "moments", None)
+    quad, lag0 = (_toeplitz_forms(eta, weights) if moments is None
+                  else moments.quadratic_forms(weights))
+    h2 = h_diag ** 2
+    w = h2 * quad / n
+    base = h2 * lag0 / n
+    floor = W_FLOOR_EPS * np.where(base > 0.0, base, W_FLOOR_EPS)
+    bad = w <= 0.0
+    floored = int(bad.sum())
     if floored:
         warnings.warn(
             f"{floored} long-run variance estimates were non-positive and "
             "got floored", DegenerateVariance)
-    return out
-
+    return np.where(bad, floor, w)

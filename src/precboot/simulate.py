@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws, max_statistic
-from .core import Dataset, IndexSet, RngSpec, SymMatrix, center, \
+from .core import Dataset, IndexSet, RngSpec, SymMatrix, center_in_place, \
     index_set_all_offdiag, index_set_from_mask, map_ordered
 from .errors import GenerationError, InvalidDimension, InvalidInput, \
     PrecbootError
@@ -93,24 +93,31 @@ def index_set_for(choice: str, structure: str, p: int) -> IndexSet:
     raise InvalidInput(f"unknown index set choice {choice!r}")
 
 
-def generate(dgp: DgpSpec, *key: int) -> Dataset:
-    """Simulate y_1 = e_1, y_t = rho y_{t-1} + sqrt(1-rho^2) e_t with
-    e_t iid N(0, Sigma); every y_t is marginally N(0, Sigma)."""
+def _draw_block(dgp: DgpSpec, keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
+    """``generate``'s samples of the substreams ``keys`` as one (B, n, p)
+    block; the recursion runs over all B samples at once."""
     sigma, _ = build_sigma(dgp.structure, dgp.p)
     try:
         chol = np.linalg.cholesky(sigma.values)
     except np.linalg.LinAlgError as exc:
         raise GenerationError("covariance is not positive definite") from exc
-    rng = dgp.rng.generator(*key)
-    eps = rng.standard_normal((dgp.n, dgp.p)) @ chol.T
-    if dgp.rho == 0.0:
-        return Dataset(eps)
-    y = np.empty_like(eps)
-    y[0] = eps[0]
-    damp = math.sqrt(1.0 - dgp.rho ** 2)
-    for t in range(1, dgp.n):
-        y[t] = dgp.rho * y[t - 1] + damp * eps[t]
-    return Dataset(y)
+    block = np.empty((len(keys), dgp.n, dgp.p))
+    for y, key in zip(block, keys):
+        np.matmul(dgp.rng.generator(*key).standard_normal((dgp.n, dgp.p)),
+                  chol.T, out=y)
+    if dgp.rho != 0.0:
+        damp = math.sqrt(1.0 - dgp.rho ** 2)
+        for t in range(1, dgp.n):
+            block[:, t] *= damp
+            block[:, t] += dgp.rho * block[:, t - 1]
+    return block
+
+
+def generate(dgp: DgpSpec, *key: int) -> Dataset:
+    """Simulate y_1 = e_1, y_t = rho y_{t-1} + sqrt(1-rho^2) e_t with
+    e_t iid N(0, Sigma) from substream ``key``; every y_t is marginally
+    N(0, Sigma)."""
+    return Dataset(_draw_block(dgp, [key])[0])
 
 
 @dataclass
@@ -140,21 +147,24 @@ def _truth_stats(pipe: PipelineFit, S: IndexSet, omega_true_s: np.ndarray,
         max_statistic(dev, n, np.sqrt(w))
 
 
-def _fit_chunk(dgp: DgpSpec, stage: int, keys: range, lasso_cfg: LassoConfig,
-               threads: int):
-    """Draw the replicates ``keys`` of a stage and solve all their node-wise
-    Lassos in one lockstep call. Returns (batch, slot): slot[i] is
-    replicate i's index in the batch, absent when drawing or checking it
-    raised a PrecbootError."""
-    def draw(i):
+def _fit_chunk(dgp: DgpSpec, stage: int, keys: range,
+               lasso_cfg: LassoConfig):
+    """Draw the replicates ``keys`` of a stage into one block, centre each
+    in place, and solve all their node-wise Lassos in one lockstep call.
+    Returns (batch, slot): slot[i] is replicate i's index in the batch,
+    absent when drawing or checking it raised a PrecbootError. The batch's
+    samples are views of the one block."""
+    try:
+        block = _draw_block(dgp, [(stage, i) for i in keys])
+    except PrecbootError:
+        return None, {}
+    good = {}
+    for i, values in zip(keys, block):
         try:
-            data = center(generate(dgp, stage, i))
-            return data, node_penalties(data, lasso_cfg)
+            data = center_in_place(values)
+            good[i] = data, node_penalties(data, lasso_cfg)
         except PrecbootError:
-            return None
-
-    good = {i: d for i, d in zip(keys, map_ordered(draw, keys, threads))
-            if d is not None}
+            pass
     if not good:
         return None, {}
     samples, lambdas = zip(*good.values())
@@ -182,7 +192,7 @@ def _run_stage(dgp: DgpSpec, stage: int, count: int, lasso_cfg: LassoConfig,
     out = []
     for start in range(0, count, size):
         keys = range(start, min(start + size, count))
-        batch, slot = _fit_chunk(dgp, stage, keys, lasso_cfg, threads)
+        batch, slot = _fit_chunk(dgp, stage, keys, lasso_cfg)
         out += map_ordered(one, keys, threads)
         del batch, slot  # release this chunk before drawing the next
     return out
@@ -203,9 +213,10 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     empirical coverages.
 
     Each stage runs in batches of FIT_BATCH_NODES // p replicates: a batch
-    is drawn, its node-wise Lassos are solved in one lockstep call, and then
-    every replicate's scores, bandwidth, long-run variances and draws run on
-    their own. The results do not depend on the batch size or on
+    is drawn into one (B, n, p) block whose slices are the replicates'
+    centred samples, its node-wise Lassos are solved in one lockstep call,
+    and then every replicate's scores, bandwidth, long-run variances and
+    draws run on their own. The results do not depend on the batch size or on
     ``threads``. A replicate that raises a PrecbootError (generation, the
     data checks, a fit in which no node converged, ``estimate_v``) counts
     as one failure and leaves the rest of its batch unaffected.

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,34 @@ class TestScoreMultFactor:
                                    atol=1e-10 * np.abs(xi).max())
 
 
+def unbuffered_stats(eta, h_diag, cfg, studentized):
+    """kmb_draws' sorted max statistics with a fresh |projection| array and
+    one scaled temporary per draw chunk: the reference for its buffers."""
+    from precboot.bootstrap import _draw_multipliers
+
+    n, r = eta.shape
+    s_n = cfg.bandwidth_for(eta)
+    sd = np.sqrt(w_diag(eta, h_diag, s_n, cfg.kernel))
+    plain = h_diag / math.sqrt(n)
+    scales = [plain / sd if stud else plain for stud in studentized]
+    factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
+              else gaussian_mult_factor(n, s_n, cfg.kernel))
+    starts = range(0, cfg.M, DRAW_CHUNK)
+    draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
+             for m in starts]
+    stats = np.zeros((len(scales), cfg.M))
+    for start in range(0, r, precision.SCORE_BLOCK):
+        stop = min(start + precision.SCORE_BLOCK, r)
+        cols_t = eta[:, start:stop].T if r >= n else None
+        for m, g in zip(starts, draws):
+            mag = np.abs(cols_t @ g if r >= n else g[start:stop])
+            for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
+                np.maximum(best, (scale[start:stop, None] * mag).max(axis=0),
+                           out=best)
+    stats.sort(axis=1)
+    return stats
+
+
 class TestKmbDraws:
     def test_zero_scores_zero_stats(self):
         cfg = BootstrapConfig(rng=RngSpec(3), M=50, bandwidth=1.0, kernel=BART)
@@ -166,6 +195,25 @@ class TestKmbDraws:
         for x, y in zip(a, b):
             np.testing.assert_allclose(x.stats, y.stats, rtol=1e-12)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_buffered_epilogue_is_bitwise_unbuffered(self, rng, monkeypatch,
+                                                     block):
+        # the projections, their |.| and the scaled copies go to reused
+        # buffers; every operation is the unbuffered one, so on both routes,
+        # over whole and partial draw chunks and score blocks, the stats
+        # are bitwise the same
+        if block is not None:
+            monkeypatch.setattr(precision, "SCORE_BLOCK", block)
+        cfg = BootstrapConfig(rng=RngSpec(12), M=DRAW_CHUNK + 44,
+                              bandwidth=2.0)
+        for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
+            eta = serially_dependent(rng, n, r)
+            h = rng.uniform(0.5, 2.0, r)
+            got = kmb_draws(eta, h, cfg, (False, True))
+            want = unbuffered_stats(eta, h, cfg, (False, True))
+            for res, stats in zip(got, want):
+                np.testing.assert_array_equal(res.stats, stats)
+
     def test_vectors_hook_agrees_with_stats(self, rng):
         # stats are the sorted max-abs of the reference draw vectors, plain
         # and studentized, over more than one draw chunk, on both routes
@@ -201,29 +249,53 @@ class TestKmbDraws:
                         np.sort(np.abs(vectors).max(axis=0)), res.stats)
 
     def test_lazy_scores_match_dense(self, rng, monkeypatch):
-        # the bandwidth, w_diag and the draws, on both routes and with both
-        # kernels, are bitwise the same read from the lazy scores and from
-        # all of them formed at once, block by block; against the default
-        # block they agree to rounding (BLAS accumulation order)
+        # offdiag at p = 6 is dense in its variables: read lazily, the
+        # bandwidth and w_diag come from the score moments, read from all
+        # columns formed at once, from the columns, so the two agree to
+        # rounding, on both draw routes and with both kernels. The moments
+        # do not depend on the block size, so a lazy run's bandwidth and
+        # scale are bitwise those of the default block. A sparse set takes
+        # the column route read either way, so there lazy and dense runs
+        # are bitwise equal
         S = index_set_all_offdiag(6)  # r = 30
+        sparse = IndexSet(np.array([[1, 2], [3, 4], [5, 6], [2, 1]]))
         cases = []
         for n in (60, 20):  # r < n, then r >= n
-            y = serially_dependent(rng, n, 6)
-            eta, h = fit_pipeline(center(Dataset(y))).scores(S)
-            for kernel in (QS, BART):
-                cfg = BootstrapConfig(rng=RngSpec(5), M=300, kernel=kernel)
-                cases.append((eta, h, cfg,
-                              kmb_draws(eta, h, cfg, (False, True))))
+            pipe = fit_pipeline(center(Dataset(serially_dependent(rng, n, 6))))
+            for index_set in (S, sparse):
+                eta, h = pipe.scores(index_set)
+                assert (eta.moments is None) == (index_set is sparse)
+                for kernel in (QS, BART):
+                    cfg = BootstrapConfig(rng=RngSpec(5), M=300,
+                                          kernel=kernel)
+                    cases.append((eta, h, cfg,
+                                  kmb_draws(eta, h, cfg, (False, True))))
         monkeypatch.setattr(precision, "SCORE_BLOCK", 7)
         for eta, h, cfg, want in cases:
             lazy = kmb_draws(eta, h, cfg, (False, True))
             dense = kmb_draws(eta[:, :], h, cfg, (False, True))
-            for a, b, c in zip(lazy, dense, want):
-                assert a.bandwidth == b.bandwidth == c.bandwidth
-                np.testing.assert_array_equal(a.stats, b.stats)
+            for a, c in zip(lazy, want):
+                assert a.bandwidth == c.bandwidth
                 np.testing.assert_allclose(a.stats, c.stats, rtol=1e-12)
-            np.testing.assert_array_equal(lazy[1].scale, dense[1].scale)
-            np.testing.assert_allclose(lazy[1].scale, want[1].scale,
+            np.testing.assert_array_equal(lazy[1].scale, want[1].scale)
+            if eta.moments is None:
+                for a, b in zip(lazy, dense):
+                    assert a.bandwidth == b.bandwidth
+                    np.testing.assert_array_equal(a.stats, b.stats)
+                    np.testing.assert_array_equal(a.scale, b.scale)
+                continue
+            # a bandwidth one ulp off moves every multiplier, and the factor
+            # of A (or of eta' A eta) can magnify that to ~1e-11 in a draw,
+            # so the draws are compared at the lazy run's bandwidth
+            assert lazy[0].bandwidth == pytest.approx(dense[0].bandwidth,
+                                                      rel=1e-13)
+            fixed = replace(cfg, bandwidth=lazy[0].bandwidth)
+            lazy = kmb_draws(eta, h, fixed, (False, True))
+            dense = kmb_draws(eta[:, :], h, fixed, (False, True))
+            np.testing.assert_array_equal(lazy[0].stats, dense[0].stats)
+            np.testing.assert_allclose(lazy[1].scale, dense[1].scale,
+                                       rtol=1e-13)
+            np.testing.assert_allclose(lazy[1].stats, dense[1].stats,
                                        rtol=1e-12)
 
     def test_scores_are_never_held_whole(self, monkeypatch):

@@ -286,6 +286,25 @@ class TestInputsCheckedBeforeFit:
         assert sorted(f.name for f in tmp_path.iterdir()) == \
             ["c.csv", "data.csv"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--set", "offdiag", "--alpha", "1.5"], "--alpha"),
+        (["test", "--set", "offdiag", "--zero", "--alpha", "0"], "--alpha"),
+        (["recover", "--set", "offdiag", "--alpha", "0"], "--alpha"),
+        (["blocks", "--fdr", "1"], "--fdr"),
+    ], ids=["estimate", "test", "recover", "blocks"])
+    def test_level_outside_unit_interval(self, tmp_path, data_csv, capsys,
+                                         argv, flag):
+        if argv[0] == "blocks":
+            prices, gmap = two_group_prices(tmp_path)
+            source = ["--prices", prices, "--group-map", gmap]
+        else:
+            source = ["--data", data_csv[0]]
+        before = sorted(f.name for f in tmp_path.iterdir())
+        assert run_cli(argv + source + ["--boot-M", "10",
+                                        "--out", tmp_path / "out.csv"]) == 1
+        assert f"{flag} must be in (0, 1)" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == before
+
 
 def two_group_prices(tmp_path):
     """A 60-day price CSV of four symbols and a map of them to two groups."""

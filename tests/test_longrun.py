@@ -247,22 +247,41 @@ class TestWDiagOracle:
         assert np.all(w[[0, 2, 3, 6]] > W_FLOOR_EPS)
 
     def test_lazy_scores_match_dense(self, rng, monkeypatch):
+        # offdiag at p = 6 is dense in its variables, so the lazy scores
+        # take the moment route and the ndarray the column route: the two
+        # agree to rounding. The moment route is bitwise the same at any
+        # SCORE_BLOCK; a sparse set takes the column route read lazily or
+        # densely, bitwise at each block size and to rounding across them
         from precboot import center, fit_pipeline, precision
         from precboot.core import Dataset, index_set_all_offdiag
 
         pipe = fit_pipeline(center(Dataset(rng.standard_normal((60, 6)))))
         lazy, h = pipe.scores(index_set_all_offdiag(6))
+        sparse, h_sparse = pipe.scores(IndexSet(np.array([[1, 2], [3, 4],
+                                                          [5, 6]])))
+        assert lazy.moments is not None and sparse.moments is None
         dense = lazy[:, :]
         for spec in (QS, BART):
-            want = w_diag(lazy, h, 2.0, spec)
+            moment_w = w_diag(lazy, h, 2.0, spec)
+            column_w = w_diag(dense, h, 2.0, spec)
+            sparse_w = w_diag(sparse, h_sparse, 2.0, spec)
             bandwidth = andrews_bandwidth(lazy, spec)
             with monkeypatch.context() as m:
-                m.setattr(precision, "SCORE_BLOCK", 7)
-                got = w_diag(lazy, h, 2.0, spec)
-                np.testing.assert_array_equal(got, w_diag(dense, h, 2.0, spec))
+                m.setattr(precision, "SCORE_BLOCK", 2)
+                np.testing.assert_array_equal(w_diag(lazy, h, 2.0, spec),
+                                              moment_w)
                 assert andrews_bandwidth(lazy, spec) == bandwidth
-                assert andrews_bandwidth(dense, spec) == bandwidth
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+                got = w_diag(sparse, h_sparse, 2.0, spec)
+                np.testing.assert_array_equal(
+                    got, w_diag(sparse[:, :], h_sparse, 2.0, spec))
+                assert andrews_bandwidth(sparse, spec) == \
+                    andrews_bandwidth(sparse[:, :], spec)
+                np.testing.assert_allclose(got, sparse_w, rtol=1e-13)
+                np.testing.assert_allclose(w_diag(dense, h, 2.0, spec),
+                                           column_w, rtol=1e-13)
+            np.testing.assert_allclose(moment_w, column_w, rtol=1e-13)
+            assert bandwidth == pytest.approx(andrews_bandwidth(dense, spec),
+                                              rel=1e-13)
 
 
 class TestHDiag:
@@ -281,13 +300,13 @@ def index_toeplitz(w):
 
 
 def index_w_diag(eta, h_diag, s_n, kernel):
-    """w_diag with each row chunk of T gathered through an index matrix,
+    """w_diag with each row block of T gathered through an index matrix,
     the reference for the strided-view form."""
     import precboot.longrun as lr
     n, r = eta.shape
     weights = kernel_lag_weights(kernel, n, s_n)
     reach = int(np.flatnonzero(weights)[-1])
-    chunk = max(1, lr.TOEPLITZ_MAX_ENTRIES // n)
+    chunk = max(1, min(lr.TOEPLITZ_ROWS, lr.TOEPLITZ_MAX_ENTRIES // n))
     quad = np.zeros(r)
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
@@ -404,3 +423,155 @@ class TestAr1Summaries:
         before = eta.copy()
         _ar1_summaries(eta)
         np.testing.assert_array_equal(eta, before)
+
+
+def moment_scores(residuals, v, pairs):
+    """The LazyEta of ``pairs`` (1-based) over given residuals and v."""
+    from precboot.nodewise import NodewiseFit
+    from precboot.precision import LazyEta
+
+    p = residuals.shape[1]
+    fit = NodewiseFit(alpha=-np.eye(p), lambdas=np.ones(p),
+                      residuals=residuals, iterations=np.ones(p, dtype=int))
+    return LazyEta(fit, SymMatrix(v), IndexSet(np.asarray(pairs)))
+
+
+@pytest.fixture(scope="module")
+def paper_shapes():
+    """(name, eta, h) at the desk shape (p = 50, n = 150, zero set) and the
+    mid shape (p = 200, n = 400, all off-diagonal pairs), structure A,
+    rho = 0.3."""
+    from precboot import fit_pipeline
+    from precboot.core import RngSpec
+    from precboot.simulate import DgpSpec, generate, index_set_for
+
+    out = []
+    for name, p, n, choice in (("desk", 50, 150, "zeros"),
+                               ("mid", 200, 400, "offdiag")):
+        dgp = DgpSpec("A", p, 0.3, n, RngSpec(17, "shapes"))
+        pipe = fit_pipeline(generate(dgp, 0))
+        eta, h = pipe.scores(index_set_for(choice, "A", p))
+        out.append((name, eta, h))
+    return out
+
+
+class TestScoreMoments:
+    def test_route_rule(self):
+        # dense in its variables when r >= |U|(|U| - 1)/2: the desk zero set
+        # (2,352 vs 1,225) and all off-diagonal pairs take the moments, one
+        # block pair of two groups of 10 (100 vs 190) takes the columns
+        from precboot.core import index_set_all_offdiag, \
+            index_set_from_blocks
+        from precboot.simulate import true_zero_set
+
+        e = np.random.default_rng(0).standard_normal((30, 50))
+        v = np.eye(50)
+        groups = {"a": list(range(1, 11)), "b": list(range(11, 21))}
+        for S, dense in ((true_zero_set("A", 50), True),
+                         (index_set_all_offdiag(50), True),
+                         (index_set_from_blocks(groups, ("a", "b")), False),
+                         (index_set_from_blocks(groups, ("a", "a")), True)):
+            eta = moment_scores(e, v, S.pairs)
+            assert (eta.moments is not None) == dense
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_match_column_route_and_direct_sum(self, paper_shapes, spec):
+        from precboot.longrun import _ar1_summaries
+
+        for name, eta, h in paper_shapes:
+            assert eta.moments is not None, name
+            cols = eta[:, :]
+            s_n = andrews_bandwidth(eta, spec)
+            assert s_n == pytest.approx(andrews_bandwidth(cols, spec),
+                                        rel=1e-13)
+            w = w_diag(eta, h, s_n, spec)
+            np.testing.assert_allclose(w, w_diag(cols, h, s_n, spec),
+                                       rtol=1e-13)
+            some = np.linspace(0, eta.shape[1] - 1, 200).astype(int)
+            np.testing.assert_allclose(
+                w[some], direct_w(cols[:, some], h[some], s_n, spec),
+                rtol=1e-13)
+            (rho, sig2), (rho_c, sig2_c) = (_ar1_summaries(eta),
+                                            _ar1_summaries(cols))
+            np.testing.assert_allclose(rho, rho_c, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(sig2, sig2_c, rtol=1e-13)
+
+    @pytest.mark.parametrize("offset", [3.0, 10.0, 30.0])
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_near_collinear_pair_cancellation(self, offset, spec):
+        # corr(e_a, e_b) = 0.99 around a common offset, and v_ab the mean of
+        # y = e_a e_b, so that x = y - v_ab is centred and the moments
+        # cancel by (mean(y) / sd(y))^2 (about 2, 24 and 200 here). Stated
+        # bound: relative error <= 1e-14 (1 + (mean / sd)^2); measured
+        # 3e-15, 3e-14 and 5.5e-13 at n = 400
+        from precboot.longrun import _ar1_summaries
+
+        rng = np.random.default_rng(7)
+        n = 400
+        x, noise = rng.standard_normal(n), rng.standard_normal(n)
+        for t in range(1, n):
+            x[t] += 0.3 * x[t - 1]
+        e = np.column_stack([offset + x, offset + 0.99 * x
+                             + np.sqrt(1.0 - 0.99 ** 2) * noise])
+        y = e[:, 0] * e[:, 1]
+        v = np.array([[1.0, y.mean()], [y.mean(), 1.0]])
+        eta = moment_scores(e, v, [[1, 2], [2, 1]])
+        assert eta.moments is not None
+        bound = 1e-14 * (1.0 + (y.mean() / y.std()) ** 2)
+        cols = eta[:, :]
+        w = w_diag(eta, np.ones(2), 3.0, spec)
+        np.testing.assert_allclose(w, w_diag(cols, np.ones(2), 3.0, spec),
+                                   rtol=bound)
+        np.testing.assert_allclose(w, direct_w(cols, np.ones(2), 3.0, spec),
+                                   rtol=bound)
+        (rho, sig2), (rho_c, sig2_c) = (_ar1_summaries(eta),
+                                        _ar1_summaries(cols))
+        np.testing.assert_allclose(rho, rho_c, rtol=0, atol=bound)
+        np.testing.assert_allclose(sig2, sig2_c, rtol=bound)
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_floors_match_column_route(self, rng, spec):
+        # pairs with a zero residual column and v_ab = 0 have x = 0: both
+        # routes floor the same entries at the same values, and warn with
+        # the same count
+        from precboot.longrun import W_FLOOR_EPS
+
+        e = ar1_scores(rng, 80, 5)
+        e[:, 3] = 0.0
+        pairs = [[a, b] for a in range(1, 6) for b in range(1, 6) if a != b]
+        eta = moment_scores(e, np.eye(5), pairs)
+        assert eta.moments is not None
+        h = rng.uniform(0.5, 2.0, len(pairs))
+        messages = []
+        for scores in (eta, eta[:, :]):
+            with pytest.warns(DegenerateVariance) as caught:
+                w = w_diag(scores, h, 2.5, spec)
+            messages.append([str(c.message) for c in caught])
+            floored = np.array([4 in pair for pair in pairs])
+            np.testing.assert_array_equal(w[floored], W_FLOOR_EPS ** 2)
+            assert np.all(w[~floored] > W_FLOOR_EPS)
+        assert messages[0] == messages[1] == [
+            "8 long-run variance estimates were non-positive and got floored"]
+
+    def test_bitwise_invariant_to_block_size_and_threads(self, rng,
+                                                         monkeypatch):
+        from precboot import center, fit_pipeline, precision
+        from precboot.core import Dataset, index_set_all_offdiag, \
+            map_ordered
+
+        pipes = [fit_pipeline(center(Dataset(ar1_scores(rng, 90, 8))))
+                 for _ in range(4)]
+        S = index_set_all_offdiag(8)
+
+        def one(pipe):
+            eta, h = pipe.scores(S)
+            s_n = andrews_bandwidth(eta, QS)
+            return s_n, w_diag(eta, h, s_n, QS)
+
+        want = [one(pipe) for pipe in pipes]
+        monkeypatch.setattr(precision, "SCORE_BLOCK", 3)
+        for got in ([one(pipe) for pipe in pipes],
+                    map_ordered(one, pipes, 2)):
+            for (s_n, w), (s_want, w_want) in zip(got, want):
+                assert s_n == s_want
+                np.testing.assert_array_equal(w, w_want)

@@ -81,6 +81,51 @@ class TestZeroSet:
             index_set_for("everything", "A", 5)
 
 
+def one_sample_recursion(dgp, *key):
+    """The sample of one substream key, drawn and recursed on its own: the
+    reference for the block draw."""
+    sigma, _ = build_sigma(dgp.structure, dgp.p)
+    eps = dgp.rng.generator(*key).standard_normal((dgp.n, dgp.p)) \
+        @ np.linalg.cholesky(sigma.values).T
+    if dgp.rho == 0.0:
+        return eps
+    y = np.empty_like(eps)
+    y[0] = eps[0]
+    damp = math.sqrt(1.0 - dgp.rho ** 2)
+    for t in range(1, dgp.n):
+        y[t] = dgp.rho * y[t - 1] + damp * eps[t]
+    return y
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_bitwise_equal_to_one_sample_recursion(self, rho):
+        from precboot.simulate import _draw_block
+
+        dgp = DgpSpec("A", 7, rho, 40, RngSpec(3, "block"))
+        keys = [(1, i) for i in range(5)]
+        block = _draw_block(dgp, keys)
+        assert block.shape == (5, 40, 7)
+        for values, key in zip(block, keys):
+            np.testing.assert_array_equal(values,
+                                          one_sample_recursion(dgp, *key))
+            np.testing.assert_array_equal(generate(dgp, *key).values, values)
+
+    def test_batch_samples_are_centred_views_of_one_block(self):
+        from precboot import center
+        from precboot.simulate import _fit_chunk
+
+        dgp = DgpSpec("A", 6, 0.3, 50, RngSpec(8, "block"))
+        batch, slot = _fit_chunk(dgp, 0, range(4), LassoConfig())
+        assert slot == {0: 0, 1: 1, 2: 2, 3: 3}
+        block = batch.samples[0].values.base
+        assert block.shape == (4, 50, 6)
+        for i, sample in enumerate(batch.samples):
+            assert sample.centered and sample.values.base is block
+            np.testing.assert_array_equal(
+                sample.values, center(generate(dgp, 0, i)).values)
+
+
 class TestGenerate:
     def test_fixed_seed_reproducible(self):
         dgp = DgpSpec("A", 6, 0.3, 40, RngSpec(5, "g"))
@@ -207,7 +252,6 @@ class TestCoverageExperiment:
         # after the batch solve (no node converged); the other replicates
         # of its batch must give the same bootstrap draws as without it
         import precboot.simulate as sim
-        from precboot.core import Dataset
 
         draws = []
         real_draws = sim.kmb_draws
@@ -223,17 +267,16 @@ class TestCoverageExperiment:
         clean = coverage_experiment(dgp, "zeros", **kwargs)
         clean_draws, draws[:] = list(draws), []
         if where == "draw":
-            real_generate = sim.generate
+            real_draw_block = sim._draw_block
 
-            def generate_nan(spec, *key):
-                data = real_generate(spec, *key)
-                if key == (1, 1):
-                    values = data.values.copy()
-                    values[0, 0] = np.nan
-                    return Dataset(values)
-                return data
+            def draw_block_nan(spec, keys):
+                block = real_draw_block(spec, keys)
+                for values, key in zip(block, keys):
+                    if key == (1, 1):
+                        values[0, 0] = np.nan
+                return block
 
-            monkeypatch.setattr(sim, "generate", generate_nan)
+            monkeypatch.setattr(sim, "_draw_block", draw_block_nan)
         else:
             real_fit_batch = sim.fit_batch
             batches = []
