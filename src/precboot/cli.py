@@ -210,6 +210,8 @@ def parse_index_set(tokens: List[str], p: int,
         except ValueError:
             raise UserError(f"band-outside needs an integer, got {rest[0]!r}") \
                 from None
+        if k < 0:
+            raise UserError(f"band-outside needs K >= 0, got {k}")
         j = np.arange(p)
         mask = np.abs(j[:, None] - j[None, :]) > k
         if not mask.any():
@@ -221,7 +223,10 @@ def parse_index_set(tokens: List[str], p: int,
         _, rows = _read_matrix_csv(rest[0], expect_header=False)
         if any(len(row) < 2 for row in rows):
             raise UserError(f"{rest[0]}: every row needs two indices")
-        return IndexSet(_numbers(rest[0], [row[:2] for row in rows], int))
+        pairs = _numbers(rest[0], [row[:2] for row in rows], int)
+        if pairs.min() < 1 or pairs.max() > p:
+            raise UserError(f"{rest[0]}: indices must be in 1..{p}")
+        return IndexSet(pairs)
     if head == "block":
         if len(rest) != 2:
             raise UserError("block needs two group labels")

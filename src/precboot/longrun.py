@@ -8,11 +8,15 @@ AR(1) plug-in bandwidth.
 Both are sums over lags of products of scores, and both read the scores by
 one of two routes:
 
-  * moments: when the score source offers ``moments`` (the
-    ``precision.ScoreMoments`` of a ``LazyEta`` whose index set is dense in
-    the variables U it touches, r >= |U|(|U| - 1)/2), the sums come from
-    |U| x |U| lag Gram matrices of the residuals and no score column is
-    formed;
+  * Gram: when the score source offers ``gram_inputs()`` (a ``LazyEta``
+    whose index set is dense in the variables U it touches,
+    r >= |U|(|U| - 1)/2), the sums come from |U| x |U| lag Gram matrices of
+    the residuals of U and no score column is formed. With y_t = e_{a,t}
+    e_{b,t} and P_k = E[:-k] * E[k:] (P_0 = E * E), [P_k' P_k]_ab =
+    sum_t y_t y_{t+k} and [E' E]_ab = sum_t y_t; a lag costs about n |U|^2
+    flops, where forming the scores costs n r. Subtracting a mean or v_ab
+    from raw sums cancels where it is large next to the column's spread:
+    the relative error grows like (mean / sd)^2 times the rounding unit;
   * columns: otherwise (an ndarray, or a sparse set such as one block pair)
     the columns are read, and ``w_diag`` takes a banded Toeplitz product.
 """
@@ -78,19 +82,43 @@ def h_diag_from_v(v: SymMatrix, S: IndexSet) -> np.ndarray:
     return 1.0 / (d[S.rows()] * d[S.cols()])
 
 
+def _gram_inputs(eta):
+    """``eta.gram_inputs()`` when the scores offer it, else None."""
+    offer = getattr(eta, "gram_inputs", None)
+    return None if offer is None else offer()
+
+
+def _gram_ar1_sums(e, a, b):
+    """For the pairs (a, b) of columns of E and z_t = y_t - mean(y) (the
+    demeaned score): (sum_{t < n-1} z_t^2, sum_t z_t z_{t+1},
+    sum_{t > 0} z_t^2), from the lag-0 and lag-1 Grams, E' E and the first
+    and last rows of E."""
+    n = e.shape[0]
+    p0, p1 = e * e, e[:-1] * e[1:]
+    g0, g1, total = p0.T @ p0, p1.T @ p1, e.T @ e
+    first, last = np.outer(e[0], e[0]), np.outer(e[-1], e[-1])
+    mean = total / n
+    shared = (n - 1) * mean * mean
+    head = g0 - last * last - 2.0 * mean * (total - last) + shared
+    lag1 = g1 - mean * (2.0 * total - first - last) + shared
+    tail = g0 - first * first - 2.0 * mean * (total - first) + shared
+    return head[a, b], lag1[a, b], tail[a, b]
+
+
 def _ar1_summaries(eta):
     """Per-column AR(1) lag-1 correlation and innovation variance, over at
-    most BANDWIDTH_MAX_COLUMNS evenly spaced columns; from ``eta.moments``
-    when the scores offer them."""
+    most BANDWIDTH_MAX_COLUMNS evenly spaced columns; by the Gram route when
+    the scores offer it."""
     n, r = eta.shape
     if r > BANDWIDTH_MAX_COLUMNS:
         idx = np.unique(np.linspace(0, r - 1, BANDWIDTH_MAX_COLUMNS)
                         .astype(np.int64))
     else:
         idx = np.arange(r)
-    moments = getattr(eta, "moments", None)
-    if moments is not None:
-        denom, lag1, tail = moments.ar1_sums(idx)
+    gram = _gram_inputs(eta)
+    if gram is not None:
+        e, a, b, _ = gram
+        denom, lag1, tail = _gram_ar1_sums(e, a[idx], b[idx])
         keep = denom > 0.0
         if not np.any(keep):
             return None, None
@@ -186,17 +214,36 @@ def _toeplitz_forms(eta, weights: np.ndarray):
     return quad, lag0
 
 
+def _gram_forms(e, a, b, v_ab, weights: np.ndarray):
+    """(x' T x, x' x) for the score x = e_a e_b - v_ab of each pair (a, b) of
+    columns of E, T = lag_toeplitz(weights): x' T x = sum_k c_k w_k
+    [P_k' P_k]_ab - 2 v_ab [E' diag(T 1) E]_ab + v_ab^2 1' T 1, with c_0 = 1
+    and c_k = 2; lags of zero weight are skipped."""
+    n = e.shape[0]
+    p0 = e * e
+    gram, total = p0.T @ p0, e.T @ e
+    lag0 = gram[a, b] - 2.0 * v_ab * total[a, b] + v_ab * v_ab * n
+    for k in np.flatnonzero(weights[1:]) + 1:
+        p = e[:-k] * e[k:]
+        gram += (2.0 * weights[k]) * (p.T @ p)
+    # (T 1)_t = sum_{k <= t} w_k + sum_{k <= n-1-t} w_k - w_0
+    upto = np.cumsum(weights)
+    row_sums = upto + upto[::-1] - weights[0]
+    spread = (e * row_sums[:, None]).T @ e
+    return (gram[a, b] - 2.0 * v_ab * spread[a, b]
+            + v_ab * v_ab * row_sums.sum(), lag0)
+
+
 def w_diag(eta, h_diag: np.ndarray, s_n: float,
            kernel: KernelSpec) -> np.ndarray:
     """Diagonal of W = H Xi H without forming any r x r matrix.
 
     The kernel-weighted autocovariance sum of column x_l is the quadratic
     form x_l' T x_l / n with T[t, s] = K(|t - s| / S_n), so W_ll = h_l^2
-    x_l' T x_l / n. When the scores offer ``eta.moments``, the forms come
-    from lag Gram matrices of the residuals (``ScoreMoments.quadratic_forms``)
-    and no column is formed; otherwise from a banded Toeplitz product per
-    block of columns (``_toeplitz_forms``). The two routes agree to
-    rounding, not bitwise.
+    x_l' T x_l / n. When the scores offer ``gram_inputs()``, the forms come
+    from lag Gram matrices of the residuals (``_gram_forms``) and no column
+    is formed; otherwise from a banded Toeplitz product per block of columns
+    (``_toeplitz_forms``). The two routes agree to rounding, not bitwise.
 
     Non-positive entries are floored at W_FLOOR_EPS times the lag-0 value and
     a DegenerateVariance warning is emitted.
@@ -205,9 +252,9 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float,
     if h_diag.shape != (r,):
         raise InvalidInput("h_diag length must match the number of score columns")
     weights = kernel_lag_weights(kernel, n, s_n)
-    moments = getattr(eta, "moments", None)
-    quad, lag0 = (_toeplitz_forms(eta, weights) if moments is None
-                  else moments.quadratic_forms(weights))
+    gram = _gram_inputs(eta)
+    quad, lag0 = (_toeplitz_forms(eta, weights) if gram is None
+                  else _gram_forms(*gram, weights))
     h2 = h_diag ** 2
     w = h2 * quad / n
     base = h2 * lag0 / n

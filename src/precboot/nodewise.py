@@ -34,6 +34,9 @@ class LassoConfig:
             raise InvalidInput("tol must be positive")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be >= 1")
+        if not 0.0 <= self.lambda_scale < np.inf:
+            raise InvalidInput("lambda_scale must be finite and >= 0, got "
+                               f"{self.lambda_scale}")
 
 
 @dataclass

@@ -250,9 +250,9 @@ class TestKmbDraws:
 
     def test_lazy_scores_match_dense(self, rng, monkeypatch):
         # offdiag at p = 6 is dense in its variables: read lazily, the
-        # bandwidth and w_diag come from the score moments, read from all
+        # bandwidth and w_diag come from lag Gram matrices, read from all
         # columns formed at once, from the columns, so the two agree to
-        # rounding, on both draw routes and with both kernels. The moments
+        # rounding, on both draw routes and with both kernels. The Grams
         # do not depend on the block size, so a lazy run's bandwidth and
         # scale are bitwise those of the default block. A sparse set takes
         # the column route read either way, so there lazy and dense runs
@@ -264,7 +264,7 @@ class TestKmbDraws:
             pipe = fit_pipeline(center(Dataset(serially_dependent(rng, n, 6))))
             for index_set in (S, sparse):
                 eta, h = pipe.scores(index_set)
-                assert (eta.moments is None) == (index_set is sparse)
+                assert (eta.gram_inputs() is None) == (index_set is sparse)
                 for kernel in (QS, BART):
                     cfg = BootstrapConfig(rng=RngSpec(5), M=300,
                                           kernel=kernel)
@@ -278,7 +278,7 @@ class TestKmbDraws:
                 assert a.bandwidth == c.bandwidth
                 np.testing.assert_allclose(a.stats, c.stats, rtol=1e-12)
             np.testing.assert_array_equal(lazy[1].scale, want[1].scale)
-            if eta.moments is None:
+            if eta.gram_inputs() is None:
                 for a, b in zip(lazy, dense):
                     assert a.bandwidth == b.bandwidth
                     np.testing.assert_array_equal(a.stats, b.stats)

@@ -133,6 +133,21 @@ class TestIndexSetLanguage:
         s = parse_index_set(["pairs", str(path)], 5)
         assert s.pairs.tolist() == [[1, 3], [2, 4]]
 
+    @pytest.mark.parametrize("row", ["1,9", "0,2", "2,-1"])
+    def test_pairs_outside_one_to_p(self, tmp_path, row):
+        from precboot.cli import UserError
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"1,3\n{row}\n")
+        with pytest.raises(UserError) as caught:
+            parse_index_set(["pairs", str(path)], 6)
+        assert str(caught.value) == f"{path}: indices must be in 1..6"
+
+    def test_band_outside_negative(self):
+        from precboot.cli import UserError
+        with pytest.raises(UserError, match="K >= 0, got -1"):
+            parse_index_set(["band-outside", "-1"], 6)
+        assert parse_index_set(["band-outside", "0"], 3).r == 6
+
     def test_zeros_of(self, tmp_path):
         mat = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.2], [0.5, 0.2, 1.0]])
         path = tmp_path / "mat.csv"
@@ -272,19 +287,27 @@ class TestInputsCheckedBeforeFit:
         ["test", "--set", "offdiag", "--c-file", "c.csv"],
         ["estimate", "--set", "everything"],
         ["estimate", "--bandwidth", "0"],
+        ["recover", "--set", "pairs", "pairs.csv"],
+        ["recover", "--set", "band-outside", "-1"],
+        ["recover", "--set", "offdiag", "--lambda-scale", "-1"],
+        ["estimate", "--lambda-scale", "nan"],
     ], ids=["blocks-no-group-map", "recover-unknown-set",
             "recover-bad-bandwidth", "test-no-target", "test-both-targets",
             "test-short-c-file", "estimate-unknown-set",
-            "estimate-bad-bandwidth"])
+            "estimate-bad-bandwidth", "recover-pair-above-p",
+            "recover-negative-band", "recover-negative-lambda-scale",
+            "estimate-nan-lambda-scale"])
     def test_exits_1_without_fitting(self, tmp_path, data_csv, argv):
         path, _ = data_csv
         (tmp_path / "c.csv").write_text("0\n")  # 1 value, |offdiag| = 56
-        argv = [tmp_path / a if a == "c.csv" else a for a in argv]
+        (tmp_path / "pairs.csv").write_text("1,2\n1,9\n")  # p = 8
+        argv = [tmp_path / a if a in ("c.csv", "pairs.csv") else a
+                for a in argv]
         out = tmp_path / "out.csv"
         assert run_cli(argv + ["--data", path, "--boot-M", "10",
                                "--out", out]) == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == \
-            ["c.csv", "data.csv"]
+            ["c.csv", "data.csv", "pairs.csv"]
 
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "--set", "offdiag", "--alpha", "1.5"], "--alpha"),

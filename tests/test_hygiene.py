@@ -109,3 +109,72 @@ class TestTracedNames:
         spans = PACKAGE.parents[1] / "bench" / "spans.py"
         names = traced_names(spans.read_text())
         assert unresolved(names - GONE_SPANS, PACKAGE) == []
+
+
+def _read_names(tree, skip=None):
+    """The names that a module reads: Name ids, attribute names and the
+    names that imports bind from other modules, outside the top-level
+    definition ``skip``."""
+    read = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_definitions(modules, readers, traced=()):
+    """``module.name`` of every top-level function and class of the files
+    ``modules`` that no code reads: not the other files of ``modules`` or
+    ``readers``, not the rest of its own module (its own body does not
+    count), and not a part of the dotted names ``traced``."""
+    read = {part for name in traced for part in name.split(".")[1:]}
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    for path in readers:
+        read |= _read_names(ast.parse(path.read_text()))
+    others = {path: set().union(*(_read_names(tree) for other, tree
+                                  in trees.items() if other != path))
+              for path in trees}
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in read | others[path] \
+                    and node.name not in _read_names(tree, skip=node.name):
+                unread.append(f"{path.stem}.{node.name}")
+    return sorted(unread)
+
+
+class TestUnreadDefinitions:
+    # a definition that only tests read is code kept alive by its tests
+    def test_checker_flags_planted_orphans(self, tmp_path):
+        (tmp_path / "m.py").write_text(
+            "def used():\n    pass\n"
+            "def orphan():\n    pass\n"
+            "def recursive(k):\n    return recursive(k - 1)\n"
+            "def _helper():\n    pass\n"
+            "def caller():\n    return _helper()\n"
+            "class Traced:\n    pass\n")
+        (tmp_path / "n.py").write_text(
+            "from m import used\nimport m\nm.caller()\n")
+        (tmp_path / "test_m.py").write_text("import m\nm.orphan()\n")
+        modules = [tmp_path / "m.py", tmp_path / "n.py"]
+        assert unread_definitions(modules, [], {"m.Traced"}) == [
+            "m.orphan", "m.recursive"]
+        assert unread_definitions(modules, [tmp_path / "test_m.py"]) == [
+            "m.Traced", "m.recursive"]
+
+    def test_every_definition_is_read_outside_tests(self):
+        bench = PACKAGE.parents[1] / "bench"
+        readers = [p for p in bench.glob("*.py")
+                   if not p.name.startswith("test_")]
+        traced = traced_names((bench / "spans.py").read_text())
+        assert unread_definitions(sorted(PACKAGE.glob("*.py")), readers,
+                                  traced) == []

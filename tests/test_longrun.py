@@ -248,8 +248,8 @@ class TestWDiagOracle:
 
     def test_lazy_scores_match_dense(self, rng, monkeypatch):
         # offdiag at p = 6 is dense in its variables, so the lazy scores
-        # take the moment route and the ndarray the column route: the two
-        # agree to rounding. The moment route is bitwise the same at any
+        # take the Gram route and the ndarray the column route: the two
+        # agree to rounding. The Gram route is bitwise the same at any
         # SCORE_BLOCK; a sparse set takes the column route read lazily or
         # densely, bitwise at each block size and to rounding across them
         from precboot import center, fit_pipeline, precision
@@ -259,7 +259,7 @@ class TestWDiagOracle:
         lazy, h = pipe.scores(index_set_all_offdiag(6))
         sparse, h_sparse = pipe.scores(IndexSet(np.array([[1, 2], [3, 4],
                                                           [5, 6]])))
-        assert lazy.moments is not None and sparse.moments is None
+        assert lazy.gram_inputs() is not None and sparse.gram_inputs() is None
         dense = lazy[:, :]
         for spec in (QS, BART):
             moment_w = w_diag(lazy, h, 2.0, spec)
@@ -458,7 +458,7 @@ def paper_shapes():
 class TestScoreMoments:
     def test_route_rule(self):
         # dense in its variables when r >= |U|(|U| - 1)/2: the desk zero set
-        # (2,352 vs 1,225) and all off-diagonal pairs take the moments, one
+        # (2,352 vs 1,225) and all off-diagonal pairs take the Grams, one
         # block pair of two groups of 10 (100 vs 190) takes the columns
         from precboot.core import index_set_all_offdiag, \
             index_set_from_blocks
@@ -472,14 +472,45 @@ class TestScoreMoments:
                          (index_set_from_blocks(groups, ("a", "b")), False),
                          (index_set_from_blocks(groups, ("a", "a")), True)):
             eta = moment_scores(e, v, S.pairs)
-            assert (eta.moments is not None) == dense
+            assert (eta.gram_inputs() is not None) == dense
+
+    def test_gram_route_forms_no_column(self, paper_shapes, monkeypatch):
+        # with every column read made to raise, the dense sets still give
+        # their bandwidth and w_diag bitwise; a block pair reads columns
+        from precboot.core import index_set_from_blocks
+        from precboot.precision import LazyEta
+
+        want = {}
+        for name, eta, h in paper_shapes:
+            for spec in (QS, BART):
+                s_n = andrews_bandwidth(eta, spec)
+                want[name, spec.kind] = s_n, w_diag(eta, h, s_n, spec)
+
+        def refuse(self, key):
+            raise AssertionError("a score column was formed")
+
+        monkeypatch.setattr(LazyEta, "__getitem__", refuse)
+        for name, eta, h in paper_shapes:
+            for spec in (QS, BART):
+                s_want, w_want = want[name, spec.kind]
+                assert andrews_bandwidth(eta, spec) == s_want
+                np.testing.assert_array_equal(w_diag(eta, h, s_want, spec),
+                                              w_want)
+        groups = {"a": list(range(1, 11)), "b": list(range(11, 21))}
+        block = index_set_from_blocks(groups, ("a", "b"))
+        eta = moment_scores(ar1_scores(np.random.default_rng(3), 60, 20),
+                            np.eye(20), block.pairs)
+        with pytest.raises(AssertionError, match="score column"):
+            andrews_bandwidth(eta, QS)
+        with pytest.raises(AssertionError, match="score column"):
+            w_diag(eta, np.ones(block.r), 2.0, QS)
 
     @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
     def test_match_column_route_and_direct_sum(self, paper_shapes, spec):
         from precboot.longrun import _ar1_summaries
 
         for name, eta, h in paper_shapes:
-            assert eta.moments is not None, name
+            assert eta.gram_inputs() is not None, name
             cols = eta[:, :]
             s_n = andrews_bandwidth(eta, spec)
             assert s_n == pytest.approx(andrews_bandwidth(cols, spec),
@@ -516,7 +547,7 @@ class TestScoreMoments:
         y = e[:, 0] * e[:, 1]
         v = np.array([[1.0, y.mean()], [y.mean(), 1.0]])
         eta = moment_scores(e, v, [[1, 2], [2, 1]])
-        assert eta.moments is not None
+        assert eta.gram_inputs() is not None
         bound = 1e-14 * (1.0 + (y.mean() / y.std()) ** 2)
         cols = eta[:, :]
         w = w_diag(eta, np.ones(2), 3.0, spec)
@@ -540,7 +571,7 @@ class TestScoreMoments:
         e[:, 3] = 0.0
         pairs = [[a, b] for a in range(1, 6) for b in range(1, 6) if a != b]
         eta = moment_scores(e, np.eye(5), pairs)
-        assert eta.moments is not None
+        assert eta.gram_inputs() is not None
         h = rng.uniform(0.5, 2.0, len(pairs))
         messages = []
         for scores in (eta, eta[:, :]):

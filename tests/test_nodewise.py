@@ -170,6 +170,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             LassoConfig(max_iter=0)
 
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_lambda_scale(self, scale):
+        # a negative penalty inverts the soft threshold; 0 is plain least
+        # squares and stays legal
+        with pytest.raises(InvalidInput, match="lambda_scale"):
+            LassoConfig(lambda_scale=scale)
+        assert LassoConfig(lambda_scale=0.0).lambda_scale == 0.0
+
 
 def scalar_cd(gram, j, lam, tol, max_iter):
     """Reference: the one-node cyclic coordinate descent that fit_all ran
