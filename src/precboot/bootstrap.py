@@ -6,8 +6,8 @@ draw's own covariance is the r x r long-run covariance eta' A eta. Two
 routes give that law:
 
   * r >= n: factor A (L L' = A), draw n normals per draw and project
-    g = L z on the scores one block of SCORE_BLOCK columns at a time, so no
-    r x r object and no n x r score matrix is formed;
+    g = L z on the scores one block of ``longrun.SCORE_BLOCK`` columns at
+    a time, so no r x r object and no n x r score matrix is formed;
   * r < n: factor eta' A eta itself (R R' = eta' A eta) and draw r normals
     per draw, so no n x n factor is formed.
 
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import precision
+from . import longrun
 from .core import RngSpec
 from .errors import InvalidInput, InvalidLevel, ShapeError
 from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
@@ -191,10 +191,10 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
              for m in starts]
     stats = np.zeros((len(scales), cfg.M))
     # |projections| and their scaled copies go to two reused buffers
-    size = min(r, precision.SCORE_BLOCK) * min(cfg.M, DRAW_CHUNK)
+    size = min(r, longrun.SCORE_BLOCK) * min(cfg.M, DRAW_CHUNK)
     mag_buf, scaled_buf = np.empty(size), np.empty(size)
-    for start in range(0, r, precision.SCORE_BLOCK):
-        stop = min(start + precision.SCORE_BLOCK, r)
+    for start in range(0, r, longrun.SCORE_BLOCK):
+        stop = min(start + longrun.SCORE_BLOCK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
             shape = (stop - start, g.shape[1])

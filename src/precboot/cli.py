@@ -251,11 +251,14 @@ def _bandwidth_from(args) -> Optional[float]:
 
 def _boot_cfg(args) -> BootstrapConfig:
     """The bootstrap settings of a command, once its level flag (--alpha or
-    --fdr, where it has one) is checked to lie in (0, 1)."""
+    --fdr, where it has one) is checked to lie in (0, 1) and --threads to
+    be at least 1."""
     for flag in ("alpha", "fdr"):
         level = getattr(args, flag, None)
         if level is not None and not 0.0 < level < 1.0:
             raise UserError(f"--{flag} must be in (0, 1), got {level}")
+    if args.threads < 1:
+        raise UserError(f"--threads must be >= 1, got {args.threads}")
     return BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
                            kernel=KernelSpec(kind=args.kernel),
                            bandwidth=_bandwidth_from(args))

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyBlock, InsufficientData, InvalidDimension
+from .errors import EmptyBlock, InsufficientData, InvalidDimension, \
+    InvalidInput
 
 CENTER_TOL = 1e-9
 
@@ -158,6 +159,10 @@ class RngSpec:
 
     seed: int
     stream: str = ""
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
     @cached_property
     def _stream_key(self) -> int:

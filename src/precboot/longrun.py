@@ -5,20 +5,21 @@ diagonal of the kernel-weighted sum of sample autocovariances, used for
 Studentization) with the quadratic spectral and Bartlett kernels, and an
 AR(1) plug-in bandwidth.
 
-Both are sums over lags of products of scores, and both read the scores by
-one of two routes:
+Both are sums over lags of products of scores, and this module alone
+decides how the scores are read, by one of two routes:
 
-  * Gram: when the score source offers ``gram_inputs()`` (a ``LazyEta``
-    whose index set is dense in the variables U it touches,
-    r >= |U|(|U| - 1)/2), the sums come from |U| x |U| lag Gram matrices of
-    the residuals of U and no score column is formed. With y_t = e_{a,t}
-    e_{b,t} and P_k = E[:-k] * E[k:] (P_0 = E * E), [P_k' P_k]_ab =
-    sum_t y_t y_{t+k} and [E' E]_ab = sum_t y_t; a lag costs about n |U|^2
-    flops, where forming the scores costs n r. Subtracting a mean or v_ab
-    from raw sums cancels where it is large next to the column's spread:
-    the relative error grows like (mean / sd)^2 times the rounding unit;
+  * Gram: when the score source offers ``gram_inputs()`` (a ``LazyEta``)
+    and r >= |U|(|U| - 1)/2 for the variables U it touches, the sums come
+    from |U| x |U| lag Gram matrices of the residuals of U and no score
+    column is formed. With y_t = e_{a,t} e_{b,t} and P_k = E[:-k] * E[k:]
+    (P_0 = E * E), [P_k' P_k]_ab = sum_t y_t y_{t+k} and [E' E]_ab =
+    sum_t y_t; a lag costs about n |U|^2 flops, where forming the scores
+    costs n r. Subtracting a mean or v_ab from raw sums cancels where it is
+    large next to the column's spread: the relative error grows like
+    (mean / sd)^2 times the rounding unit;
   * columns: otherwise (an ndarray, or a sparse set such as one block pair)
-    the columns are read, and ``w_diag`` takes a banded Toeplitz product.
+    the columns are read, SCORE_BLOCK at a time where all r are streamed,
+    and ``w_diag`` takes a banded Toeplitz product.
 """
 from __future__ import annotations
 
@@ -27,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import precision
-from .core import IndexSet, SymMatrix
 from .errors import BandwidthFallback, DegenerateVariance, InsufficientData, \
     InvalidInput
 
 QS = "qs"
 BARTLETT = "bartlett"
+
+# readers that stream over all r score columns take them this many at a time
+SCORE_BLOCK = 8192
 
 # columns used for bandwidth selection at huge r (evenly spaced, deterministic)
 BANDWIDTH_MAX_COLUMNS = 5000
@@ -76,16 +78,16 @@ def kernel_eval(spec: KernelSpec, u):
     return out if out.ndim else float(out)
 
 
-def h_diag_from_v(v: SymMatrix, S: IndexSet) -> np.ndarray:
-    """Diagonal of H: 1 / (v_{j1,j1} v_{j2,j2}) per pair."""
-    d = v.diagonal()
-    return 1.0 / (d[S.rows()] * d[S.cols()])
-
-
 def _gram_inputs(eta):
-    """``eta.gram_inputs()`` when the scores offer it, else None."""
+    """``eta.gram_inputs()``, (E, a, b, v_ab), when the scores offer it and
+    r >= |U|(|U| - 1)/2 for the |U| columns of E, else None: a sparse set
+    costs less read column by column."""
     offer = getattr(eta, "gram_inputs", None)
-    return None if offer is None else offer()
+    if offer is None:
+        return None
+    inputs = offer()
+    u = inputs[0].shape[1]
+    return inputs if eta.shape[1] >= u * (u - 1) // 2 else None
 
 
 def _gram_ar1_sums(e, a, b):
@@ -107,8 +109,9 @@ def _gram_ar1_sums(e, a, b):
 
 def _ar1_summaries(eta):
     """Per-column AR(1) lag-1 correlation and innovation variance, over at
-    most BANDWIDTH_MAX_COLUMNS evenly spaced columns; by the Gram route when
-    the scores offer it."""
+    most BANDWIDTH_MAX_COLUMNS evenly spaced columns, from the demeaned sums
+    (sum_{t < n-1} z_t^2, sum_t z_t z_{t+1}, sum_{t > 0} z_t^2) of either
+    route."""
     n, r = eta.shape
     if r > BANDWIDTH_MAX_COLUMNS:
         idx = np.unique(np.linspace(0, r - 1, BANDWIDTH_MAX_COLUMNS)
@@ -118,28 +121,19 @@ def _ar1_summaries(eta):
     gram = _gram_inputs(eta)
     if gram is not None:
         e, a, b, _ = gram
-        denom, lag1, tail = _gram_ar1_sums(e, a[idx], b[idx])
-        keep = denom > 0.0
-        if not np.any(keep):
-            return None, None
-        denom, lag1, tail = denom[keep], lag1[keep], tail[keep]
-        r1 = np.clip(lag1 / denom, -RHO_CLIP, RHO_CLIP)
-        return r1, (tail - 2.0 * r1 * lag1 + r1 * r1 * denom) / (n - 1)
-    # x is a gathered copy, so the in-place steps never touch eta; buf takes
-    # x's layout, so each sum runs in the order of the broadcast form
-    x = eta[:, idx]
-    x -= x.mean(axis=0)
-    buf = np.empty_like(x[1:])
-    denom = np.square(x[:-1], out=buf).sum(axis=0)
-    keep = denom > 0.0
+        head, lag1, tail = _gram_ar1_sums(e, a[idx], b[idx])
+    else:
+        x = eta[:, idx]  # a gathered copy: demeaning never touches eta
+        x -= x.mean(axis=0)
+        head, lag1, tail = ((x[:-1] * x[:-1]).sum(axis=0),
+                            (x[1:] * x[:-1]).sum(axis=0),
+                            (x[1:] * x[1:]).sum(axis=0))
+    keep = head > 0.0
     if not np.any(keep):
         return None, None
-    if not np.all(keep):
-        x, denom, buf = x[:, keep], denom[keep], buf[:, keep]
-    r1 = np.multiply(x[1:], x[:-1], out=buf).sum(axis=0) / denom
-    r1 = np.clip(r1, -RHO_CLIP, RHO_CLIP)
-    innov = np.subtract(x[1:], np.multiply(r1, x[:-1], out=buf), out=buf)
-    return r1, np.square(innov, out=buf).sum(axis=0) / (n - 1)
+    head, lag1, tail = head[keep], lag1[keep], tail[keep]
+    r1 = np.clip(lag1 / head, -RHO_CLIP, RHO_CLIP)
+    return r1, (tail - 2.0 * r1 * lag1 + r1 * r1 * head) / (n - 1)
 
 
 def andrews_bandwidth(eta, kernel: KernelSpec) -> float:
@@ -202,8 +196,8 @@ def _toeplitz_forms(eta, weights: np.ndarray):
     chunk = max(1, min(TOEPLITZ_ROWS, TOEPLITZ_MAX_ENTRIES // n))
     quad = np.zeros(r)
     lag0 = np.empty(r)
-    for start in range(0, r, precision.SCORE_BLOCK):
-        stop = min(start + precision.SCORE_BLOCK, r)
+    for start in range(0, r, SCORE_BLOCK):
+        stop = min(start + SCORE_BLOCK, r)
         cols, block = eta[:, start:stop], quad[start:stop]
         for a in range(0, n, chunk):
             b = min(a + chunk, n)

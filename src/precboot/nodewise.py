@@ -151,9 +151,6 @@ class NodewiseBatch:
     converged: np.ndarray
     max_iter: int
 
-    def sample(self, b: int) -> Dataset:
-        return self.samples[b]
-
     def fit(self, b: int) -> NodewiseFit:
         """Sample b's fit with its residuals. Warns, in node order, for each
         node that did not converge; raises NotConverged if none did."""

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, IndexSet, SymMatrix, center
-from .longrun import h_diag_from_v
 from .nodewise import LassoConfig, NodewiseFit, fit_all
-from .precision import estimate_omega, estimate_v, scores_for
+from .precision import estimate_omega, estimate_v, h_diag_from_v, scores_for
 
 
 @dataclass

@@ -7,27 +7,17 @@ rescaling.
 
 The residual-product scores of an index set are never held whole. Readers
 take columns, ``eta[:, cols]``, and each read forms just those columns from
-the residuals; the bootstrap projection (and ``w_diag`` on a sparse set)
-streams over all r columns a block of ``SCORE_BLOCK`` at a time.
-
-When the index set is dense in the variables U it touches,
-r >= |U|(|U| - 1)/2, the scores also hand out the residuals of U and the
-pairs as their columns (``LazyEta.gram_inputs``), from which ``longrun``
-reads the bandwidth and ``w_diag`` through lag Gram matrices without
-forming a score column.
+the residuals; ``LazyEta.gram_inputs`` hands out the residuals of the
+variables the set touches and its pairs as their columns instead. How and
+when each is read is decided by the readers (``longrun``, ``bootstrap``).
 """
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from .core import IndexSet, SymMatrix
 from .errors import DegenerateResiduals, InvalidInput
 from .nodewise import NodewiseFit
-
-# readers that stream over all r score columns take them this many at a time
-SCORE_BLOCK = 8192
 
 
 def estimate_v(fit: NodewiseFit) -> SymMatrix:
@@ -56,6 +46,12 @@ def estimate_omega(v: SymMatrix) -> SymMatrix:
     return SymMatrix(v.values / np.outer(d, d))
 
 
+def h_diag_from_v(v: SymMatrix, S: IndexSet) -> np.ndarray:
+    """Diagonal of H: 1 / (v_{j1,j1} v_{j2,j2}) per pair."""
+    d = v.diagonal()
+    return 1.0 / (d[S.rows()] * d[S.cols()])
+
+
 class LazyEta:
     """The n x r matrix of residual-product scores, formed only where it is
     read.
@@ -64,9 +60,9 @@ class LazyEta:
     columns are centred at the bias-corrected v_hat, not at their own mean:
     when a_{j1,j2} = a_{j2,j1} = 0 the column mean is exactly -2 v_{j1,j2}.
     ``eta[:, cols]`` forms the columns ``cols`` (a slice or an index array),
-    so readers can take an ndarray or this interchangeably. When S is dense
-    in the variables it touches, ``gram_inputs()`` gives what the lag Gram
-    route of ``longrun`` reads instead of columns.
+    so readers can take an ndarray or this interchangeably;
+    ``gram_inputs()`` gives what the lag Gram route of ``longrun`` reads
+    instead.
     """
 
     def __init__(self, fit: NodewiseFit, v: SymMatrix, S: IndexSet):
@@ -88,17 +84,13 @@ class LazyEta:
         out -= self._v[rows, cols]
         return out
 
-    def gram_inputs(self) -> Optional[tuple]:
-        """(E, a, b, v_ab) when r >= |U|(|U| - 1)/2 for the variables U that
-        S touches, else None: a sparse set costs less read column by column.
-        E holds the n x |U| residuals of U, pair l is columns (a[l], b[l]) of
-        E, and v_ab is v_hat of each pair."""
+    def gram_inputs(self) -> tuple:
+        """(E, a, b, v_ab): E holds the n x |U| residuals of the variables U
+        that S touches, pair l is columns (a[l], b[l]) of E, and v_ab is
+        v_hat of each pair."""
         touched = np.zeros(self._eps.shape[1], dtype=bool)
         touched[self._rows] = True
         touched[self._cols] = True
-        u = int(touched.sum())
-        if self.shape[1] < u * (u - 1) // 2:
-            return None
         local = np.cumsum(touched) - 1  # variable -> column of E
         return (self._eps[:, touched], local[self._rows], local[self._cols],
                 self._v[self._rows, self._cols])

@@ -184,7 +184,7 @@ def _run_stage(dgp: DgpSpec, stage: int, count: int, lasso_cfg: LassoConfig,
         if b is None:
             return None
         try:
-            return stats(i, assemble(batch.sample(b), batch.fit(b)))
+            return stats(i, assemble(batch.samples[b], batch.fit(b)))
         except PrecbootError:
             return None
 

@@ -15,7 +15,8 @@ from precboot import Dataset, RngSpec, center, coverage_experiment, \
 from precboot.inference import test_structure as structure_test
 from precboot.bootstrap import BootstrapConfig, kmb_draws
 from precboot.core import IndexSet, index_set_all_offdiag
-from precboot.longrun import KernelSpec, andrews_bandwidth, h_diag_from_v
+from precboot.longrun import KernelSpec, andrews_bandwidth
+from precboot.precision import h_diag_from_v
 from precboot.nodewise import LassoConfig, NodewiseFit, default_lambdas
 from precboot.pipeline import fit_pipeline
 from precboot.simulate import DgpSpec, build_sigma, true_zero_set

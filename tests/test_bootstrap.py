@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from precboot import Dataset, IndexSet, RngSpec, center, fit_pipeline, \
-    gaussian_mult_factor, index_set_all_offdiag, kmb_draws, multiplier_cov, \
-    precision, recover_support
+    gaussian_mult_factor, index_set_all_offdiag, kmb_draws, longrun, \
+    multiplier_cov, recover_support
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, max_statistic, psd_factor, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, ShapeError
 from precboot.inference import test_structure as structure_test
-from precboot.longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
-    w_diag
+from precboot.longrun import KernelSpec, _gram_inputs, andrews_bandwidth, \
+    kernel_eval, w_diag
 
 from conftest import draw_vectors
 
@@ -123,8 +123,8 @@ def unbuffered_stats(eta, h_diag, cfg, studentized):
     draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
              for m in starts]
     stats = np.zeros((len(scales), cfg.M))
-    for start in range(0, r, precision.SCORE_BLOCK):
-        stop = min(start + precision.SCORE_BLOCK, r)
+    for start in range(0, r, longrun.SCORE_BLOCK):
+        stop = min(start + longrun.SCORE_BLOCK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
             mag = np.abs(cols_t @ g if r >= n else g[start:stop])
@@ -187,7 +187,7 @@ class TestKmbDraws:
         eta = rng.standard_normal((25, 7))
         cfg = BootstrapConfig(rng=RngSpec(11), M=32, bandwidth=1.5)
         b = kmb_draws(eta, np.ones(7), cfg, (False, True))
-        monkeypatch.setattr(precision, "SCORE_BLOCK", 2)
+        monkeypatch.setattr(longrun, "SCORE_BLOCK", 2)
         a = kmb_draws(eta, np.ones(7), cfg, (False, True))
         # block partitioning changes BLAS accumulation order, so agreement is
         # to rounding, not bitwise; bitwise determinism is guaranteed for the
@@ -203,7 +203,7 @@ class TestKmbDraws:
         # over whole and partial draw chunks and score blocks, the stats
         # are bitwise the same
         if block is not None:
-            monkeypatch.setattr(precision, "SCORE_BLOCK", block)
+            monkeypatch.setattr(longrun, "SCORE_BLOCK", block)
         cfg = BootstrapConfig(rng=RngSpec(12), M=DRAW_CHUNK + 44,
                               bandwidth=2.0)
         for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
@@ -264,13 +264,13 @@ class TestKmbDraws:
             pipe = fit_pipeline(center(Dataset(serially_dependent(rng, n, 6))))
             for index_set in (S, sparse):
                 eta, h = pipe.scores(index_set)
-                assert (eta.gram_inputs() is None) == (index_set is sparse)
+                assert (_gram_inputs(eta) is None) == (index_set is sparse)
                 for kernel in (QS, BART):
                     cfg = BootstrapConfig(rng=RngSpec(5), M=300,
                                           kernel=kernel)
                     cases.append((eta, h, cfg,
                                   kmb_draws(eta, h, cfg, (False, True))))
-        monkeypatch.setattr(precision, "SCORE_BLOCK", 7)
+        monkeypatch.setattr(longrun, "SCORE_BLOCK", 7)
         for eta, h, cfg, want in cases:
             lazy = kmb_draws(eta, h, cfg, (False, True))
             dense = kmb_draws(eta[:, :], h, cfg, (False, True))
@@ -278,7 +278,7 @@ class TestKmbDraws:
                 assert a.bandwidth == c.bandwidth
                 np.testing.assert_allclose(a.stats, c.stats, rtol=1e-12)
             np.testing.assert_array_equal(lazy[1].scale, want[1].scale)
-            if eta.gram_inputs() is None:
+            if _gram_inputs(eta) is None:
                 for a, b in zip(lazy, dense):
                     assert a.bandwidth == b.bandwidth
                     np.testing.assert_array_equal(a.stats, b.stats)
@@ -303,13 +303,13 @@ class TestKmbDraws:
         # they were formed at once; read a block at a time, the draws hold a
         # few n x SCORE_BLOCK blocks besides their length-r vectors (pair
         # indices, h, draw scales, w_diag and its square root)
-        monkeypatch.setattr(precision, "SCORE_BLOCK", 512)
+        monkeypatch.setattr(longrun, "SCORE_BLOCK", 512)
         n, p = 100, 120
         y = serially_dependent(np.random.default_rng(3), n, p)
         pipe = fit_pipeline(center(Dataset(y)))
         S = index_set_all_offdiag(p)
         cfg = BootstrapConfig(rng=RngSpec(4), M=20, bandwidth=2.0)
-        bound = 4 * n * precision.SCORE_BLOCK * 8 + 8 * S.r * 8
+        bound = 4 * n * longrun.SCORE_BLOCK * 8 + 8 * S.r * 8
         assert bound < n * S.r * 8 / 4
         tracemalloc.start()
         try:

@@ -202,6 +202,22 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-2", "seed must be >= 0, got -2"),
+        ("--threads", "0", "--threads must be >= 1, got 0"),
+    ], ids=["negative-seed", "zero-threads"])
+    def test_bad_seed_or_threads_exits_1_before_running(
+            self, tmp_path, monkeypatch, capsys, flag, value, message):
+        def coverage_experiment(*args, **kwargs):
+            raise AssertionError("coverage_experiment called")
+        monkeypatch.setattr("precboot.cli.coverage_experiment",
+                            coverage_experiment)
+        assert run_cli(["simulate", "--structure", "A", "--p", "5", "--n",
+                        "40", "--reps", "2", flag, value,
+                        "--out", tmp_path / "cov.csv"]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEstimateCommand:
     def test_round_trip_bitwise(self, tmp_path, data_csv):
@@ -291,12 +307,16 @@ class TestInputsCheckedBeforeFit:
         ["recover", "--set", "band-outside", "-1"],
         ["recover", "--set", "offdiag", "--lambda-scale", "-1"],
         ["estimate", "--lambda-scale", "nan"],
+        ["recover", "--set", "offdiag", "--seed", "-1"],
+        ["recover", "--set", "offdiag", "--threads", "-3"],
+        ["estimate", "--threads", "0"],
     ], ids=["blocks-no-group-map", "recover-unknown-set",
             "recover-bad-bandwidth", "test-no-target", "test-both-targets",
             "test-short-c-file", "estimate-unknown-set",
             "estimate-bad-bandwidth", "recover-pair-above-p",
             "recover-negative-band", "recover-negative-lambda-scale",
-            "estimate-nan-lambda-scale"])
+            "estimate-nan-lambda-scale", "recover-negative-seed",
+            "recover-negative-threads", "estimate-zero-threads"])
     def test_exits_1_without_fitting(self, tmp_path, data_csv, argv):
         path, _ = data_csv
         (tmp_path / "c.csv").write_text("0\n")  # 1 value, |offdiag| = 56

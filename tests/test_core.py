@@ -4,7 +4,8 @@ import pytest
 from precboot import (Dataset, IndexSet, RngSpec, SymMatrix, center,
                       index_set_all_offdiag, index_set_from_blocks)
 from precboot.core import index_set_from_mask
-from precboot.errors import EmptyBlock, InsufficientData, InvalidDimension
+from precboot.errors import EmptyBlock, InsufficientData, InvalidDimension, \
+    InvalidInput
 
 
 class TestDataset:
@@ -147,6 +148,11 @@ class TestRngSpec:
         a = RngSpec(7, "x").child(3).generator(1).standard_normal(4)
         b = RngSpec(7, "x").child(3).generator(1).standard_normal(4)
         assert np.array_equal(a, b)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+            RngSpec(-1, "x")
+        assert RngSpec(0).seed == 0
 
     def test_child_differs_from_parent(self):
         spec = RngSpec(7, "x")

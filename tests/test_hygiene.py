@@ -178,3 +178,36 @@ class TestUnreadDefinitions:
         traced = traced_names((bench / "spans.py").read_text())
         assert unread_definitions(sorted(PACKAGE.glob("*.py")), readers,
                                   traced) == []
+
+
+def package_imports(source: str):
+    """The modules of the package that a module of it imports: relative
+    imports, ``from . import m`` and ``from .m import x``, give m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+class TestScoreReaderLayering:
+    # how scores are read (route rule, block size) is decided in longrun
+    # alone, so precision holds the score algebra and nothing reads it back
+    def test_checker_reads_relative_imports(self):
+        source = ("import numpy as np\n"
+                  "from . import precision, core as c\n"
+                  "from .errors import InvalidInput\n"
+                  "from .sub.deep import x\n"
+                  "def f():\n    from .nodewise import fit_all\n")
+        assert package_imports(source) == {"precision", "core", "errors",
+                                           "sub", "nodewise"}
+        assert package_imports("from numpy import linalg\n") == set()
+
+    def test_score_readers_import_no_precision(self):
+        imports = {name: package_imports((PACKAGE / f"{name}.py").read_text())
+                   for name in ("longrun", "bootstrap")}
+        assert "precision" not in imports["bootstrap"]
+        assert imports["longrun"] <= {"errors"}

@@ -7,7 +7,8 @@ from precboot import SymMatrix, andrews_bandwidth, kernel_eval, w_diag
 from precboot.core import IndexSet
 from precboot.errors import BandwidthFallback, DegenerateVariance, \
     InsufficientData, InvalidInput
-from precboot.longrun import KernelSpec, h_diag_from_v, kernel_lag_weights
+from precboot.longrun import KernelSpec, _gram_inputs, kernel_lag_weights
+from precboot.precision import h_diag_from_v
 
 from conftest import gamma_hat, xi_hat
 
@@ -252,14 +253,14 @@ class TestWDiagOracle:
         # agree to rounding. The Gram route is bitwise the same at any
         # SCORE_BLOCK; a sparse set takes the column route read lazily or
         # densely, bitwise at each block size and to rounding across them
-        from precboot import center, fit_pipeline, precision
+        from precboot import center, fit_pipeline, longrun
         from precboot.core import Dataset, index_set_all_offdiag
 
         pipe = fit_pipeline(center(Dataset(rng.standard_normal((60, 6)))))
         lazy, h = pipe.scores(index_set_all_offdiag(6))
         sparse, h_sparse = pipe.scores(IndexSet(np.array([[1, 2], [3, 4],
                                                           [5, 6]])))
-        assert lazy.gram_inputs() is not None and sparse.gram_inputs() is None
+        assert _gram_inputs(lazy) is not None and _gram_inputs(sparse) is None
         dense = lazy[:, :]
         for spec in (QS, BART):
             moment_w = w_diag(lazy, h, 2.0, spec)
@@ -267,7 +268,7 @@ class TestWDiagOracle:
             sparse_w = w_diag(sparse, h_sparse, 2.0, spec)
             bandwidth = andrews_bandwidth(lazy, spec)
             with monkeypatch.context() as m:
-                m.setattr(precision, "SCORE_BLOCK", 2)
+                m.setattr(longrun, "SCORE_BLOCK", 2)
                 np.testing.assert_array_equal(w_diag(lazy, h, 2.0, spec),
                                               moment_w)
                 assert andrews_bandwidth(lazy, spec) == bandwidth
@@ -323,14 +324,29 @@ def index_w_diag(eta, h_diag, s_n, kernel):
 
 def broadcast_ar1_summaries(eta):
     """_ar1_summaries as a chain of broadcast temporaries, for r up to
-    BANDWIDTH_MAX_COLUMNS."""
+    BANDWIDTH_MAX_COLUMNS: the demeaned (head, lag-1, tail) sums, then
+    sigma^2 = (tail - 2 r1 lag1 + r1^2 head) / (n - 1)."""
+    x = eta[:, np.arange(eta.shape[1])]
+    x = x - x.mean(axis=0)
+    head = (x[:-1] ** 2).sum(axis=0)
+    lag1 = (x[1:] * x[:-1]).sum(axis=0)
+    tail = (x[1:] ** 2).sum(axis=0)
+    keep = head > 0.0
+    head, lag1, tail = head[keep], lag1[keep], tail[keep]
+    r1 = np.clip(lag1 / head, -0.97, 0.97)
+    return r1, (tail - 2.0 * r1 * lag1 + r1 * r1 * head) / (eta.shape[0] - 1)
+
+
+def innovation_ar1_summaries(eta):
+    """rho as in _ar1_summaries, and sigma^2 as the direct sum of squared
+    innovations x_t - r1 x_{t-1} over n - 1."""
     x = eta[:, np.arange(eta.shape[1])]
     x = x - x.mean(axis=0)
     denom = (x[:-1] ** 2).sum(axis=0)
+    lag1 = (x[1:] * x[:-1]).sum(axis=0)
     keep = denom > 0.0
     x = x[:, keep]
-    denom = denom[keep]
-    r1 = np.clip((x[1:] * x[:-1]).sum(axis=0) / denom, -0.97, 0.97)
+    r1 = np.clip(lag1[keep] / denom[keep], -0.97, 0.97)
     innov = x[1:] - r1[None, :] * x[:-1]
     return r1, (innov ** 2).sum(axis=0) / (eta.shape[0] - 1)
 
@@ -417,6 +433,17 @@ class TestAr1Summaries:
         for got, want in zip((rho, sig2), broadcast_ar1_summaries(eta)):
             np.testing.assert_array_equal(got, want)
 
+    def test_matches_direct_innovation_sum(self, rng):
+        # expanding sum (x_t - r1 x_{t-1})^2 into the three sums moves
+        # sigma^2 by rounding only; rho is the same number
+        from precboot.longrun import _ar1_summaries
+        eta = ar1_scores(rng, 150, 300)
+        eta[:, [7, 100]] = -1.5
+        rho, sig2 = _ar1_summaries(eta)
+        rho_o, sig2_o = innovation_ar1_summaries(eta)
+        np.testing.assert_array_equal(rho, rho_o)
+        np.testing.assert_allclose(sig2, sig2_o, rtol=1e-13)
+
     def test_input_unmodified(self, rng):
         from precboot.longrun import _ar1_summaries
         eta = ar1_scores(rng, 40, 6) + 3.0
@@ -459,20 +486,31 @@ class TestScoreMoments:
     def test_route_rule(self):
         # dense in its variables when r >= |U|(|U| - 1)/2: the desk zero set
         # (2,352 vs 1,225) and all off-diagonal pairs take the Grams, one
-        # block pair of two groups of 10 (100 vs 190) takes the columns
+        # block pair of two groups of 10 (100 vs 190) takes the columns. At
+        # the boundary, all 10 pairs j1 < j2 of five variables take the
+        # Grams and any nine of them, which still touch all five, the
+        # columns. The scores offer their inputs either way
         from precboot.core import index_set_all_offdiag, \
             index_set_from_blocks
         from precboot.simulate import true_zero_set
 
         e = np.random.default_rng(0).standard_normal((30, 50))
-        v = np.eye(50)
+        v = np.eye(50) + 0.25
         groups = {"a": list(range(1, 11)), "b": list(range(11, 21))}
-        for S, dense in ((true_zero_set("A", 50), True),
-                         (index_set_all_offdiag(50), True),
-                         (index_set_from_blocks(groups, ("a", "b")), False),
-                         (index_set_from_blocks(groups, ("a", "a")), True)):
-            eta = moment_scores(e, v, S.pairs)
-            assert (eta.gram_inputs() is not None) == dense
+        five = [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]
+        cases = [(true_zero_set("A", 50).pairs, True),
+                 (index_set_all_offdiag(50).pairs, True),
+                 (index_set_from_blocks(groups, ("a", "b")).pairs, False),
+                 (index_set_from_blocks(groups, ("a", "a")).pairs, True),
+                 (five, True)]
+        cases += [(five[:k] + five[k + 1:], False) for k in range(10)]
+        for pairs, dense in cases:
+            eta = moment_scores(e, v, pairs)
+            assert (_gram_inputs(eta) is not None) == dense
+            big, a, b, v_ab = eta.gram_inputs()
+            assert big.shape[1] == np.unique(np.asarray(pairs)).size
+            np.testing.assert_array_equal(big[:, a] * big[:, b] - v_ab,
+                                          eta[:, :])
 
     def test_gram_route_forms_no_column(self, paper_shapes, monkeypatch):
         # with every column read made to raise, the dense sets still give
@@ -510,7 +548,7 @@ class TestScoreMoments:
         from precboot.longrun import _ar1_summaries
 
         for name, eta, h in paper_shapes:
-            assert eta.gram_inputs() is not None, name
+            assert _gram_inputs(eta) is not None, name
             cols = eta[:, :]
             s_n = andrews_bandwidth(eta, spec)
             assert s_n == pytest.approx(andrews_bandwidth(cols, spec),
@@ -547,7 +585,7 @@ class TestScoreMoments:
         y = e[:, 0] * e[:, 1]
         v = np.array([[1.0, y.mean()], [y.mean(), 1.0]])
         eta = moment_scores(e, v, [[1, 2], [2, 1]])
-        assert eta.gram_inputs() is not None
+        assert _gram_inputs(eta) is not None
         bound = 1e-14 * (1.0 + (y.mean() / y.std()) ** 2)
         cols = eta[:, :]
         w = w_diag(eta, np.ones(2), 3.0, spec)
@@ -571,7 +609,7 @@ class TestScoreMoments:
         e[:, 3] = 0.0
         pairs = [[a, b] for a in range(1, 6) for b in range(1, 6) if a != b]
         eta = moment_scores(e, np.eye(5), pairs)
-        assert eta.gram_inputs() is not None
+        assert _gram_inputs(eta) is not None
         h = rng.uniform(0.5, 2.0, len(pairs))
         messages = []
         for scores in (eta, eta[:, :]):
@@ -586,7 +624,7 @@ class TestScoreMoments:
 
     def test_bitwise_invariant_to_block_size_and_threads(self, rng,
                                                          monkeypatch):
-        from precboot import center, fit_pipeline, precision
+        from precboot import center, fit_pipeline, longrun
         from precboot.core import Dataset, index_set_all_offdiag, \
             map_ordered
 
@@ -600,7 +638,7 @@ class TestScoreMoments:
             return s_n, w_diag(eta, h, s_n, QS)
 
         want = [one(pipe) for pipe in pipes]
-        monkeypatch.setattr(precision, "SCORE_BLOCK", 3)
+        monkeypatch.setattr(longrun, "SCORE_BLOCK", 3)
         for got in ([one(pipe) for pipe in pipes],
                     map_ordered(one, pipes, 2)):
             for (s_n, w), (s_want, w_want) in zip(got, want):
