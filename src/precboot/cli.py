@@ -357,6 +357,10 @@ def _cmd_test(args) -> int:
         c = _numbers(args.c_file, [row[:1] for row in rows])[:, 0]
         if c.shape != (S.r,):
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
+        if not np.all(np.isfinite(c)):
+            row = int(np.argmin(np.isfinite(c))) + 1
+            raise UserError(f"{args.c_file}: row {row}: c must be finite, "
+                            f"got {c[row - 1]}")
     cfg = _boot_cfg(args)
     pipe = fit_pipeline(data, _lasso_from(args))
     boot = _draws(pipe, S, cfg, args)

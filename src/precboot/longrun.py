@@ -5,21 +5,22 @@ diagonal of the kernel-weighted sum of sample autocovariances, used for
 Studentization) with the quadratic spectral and Bartlett kernels, and an
 AR(1) plug-in bandwidth.
 
-Both are sums over lags of products of scores, and this module alone
-decides how the scores are read, by one of two routes:
+Both are sums over lags of products of the scores of every pair of S, so
+neither depends on the order of the pairs, and this module alone decides
+how the scores are read, by one of two routes:
 
   * Gram: when the score source offers ``gram_inputs()`` (a ``LazyEta``)
     and r >= |U|(|U| - 1)/2 for the variables U it touches, the sums come
-    from |U| x |U| lag Gram matrices of the residuals of U and no score
-    column is formed. With y_t = e_{a,t} e_{b,t} and P_k = E[:-k] * E[k:]
-    (P_0 = E * E), [P_k' P_k]_ab = sum_t y_t y_{t+k} and [E' E]_ab =
-    sum_t y_t; a lag costs about n |U|^2 flops, where forming the scores
-    costs n r. Subtracting a mean or v_ab from raw sums cancels where it is
-    large next to the column's spread: the relative error grows like
-    (mean / sd)^2 times the rounding unit;
+    from |U| x |U| lag Gram matrices of the residuals of U, gathered only
+    after this rule, and no score column is formed. With y_t = e_{a,t}
+    e_{b,t} and P_k = E[:-k] * E[k:] (P_0 = E * E), [P_k' P_k]_ab =
+    sum_t y_t y_{t+k} and [E' E]_ab = sum_t y_t; a lag costs about n |U|^2
+    flops, where forming the scores costs n r. Subtracting a mean or v_ab
+    from raw sums cancels where it is large next to the column's spread:
+    the relative error grows like (mean / sd)^2 times the rounding unit;
   * columns: otherwise (an ndarray, or a sparse set such as one block pair)
-    the columns are read, SCORE_BLOCK at a time where all r are streamed,
-    and ``w_diag`` takes a banded Toeplitz product.
+    the columns are read SCORE_BLOCK at a time, and ``w_diag`` takes a
+    banded Toeplitz product.
 """
 from __future__ import annotations
 
@@ -36,9 +37,6 @@ BARTLETT = "bartlett"
 
 # readers that stream over all r score columns take them this many at a time
 SCORE_BLOCK = 8192
-
-# columns used for bandwidth selection at huge r (evenly spaced, deterministic)
-BANDWIDTH_MAX_COLUMNS = 5000
 
 # on the column route w_diag copies its lag-weight matrix out in blocks of
 # TOEPLITZ_ROWS rows (fewer when a block would pass TOEPLITZ_MAX_ENTRIES
@@ -79,15 +77,17 @@ def kernel_eval(spec: KernelSpec, u):
 
 
 def _gram_inputs(eta):
-    """``eta.gram_inputs()``, (E, a, b, v_ab), when the scores offer it and
-    r >= |U|(|U| - 1)/2 for the |U| columns of E, else None: a sparse set
-    costs less read column by column."""
+    """(E, a, b, v_ab) from ``eta.gram_inputs()`` when the scores offer it
+    and r >= |U|(|U| - 1)/2 for the variables U they touch, else None (a
+    sparse set costs less read by columns); E is gathered only after that."""
     offer = getattr(eta, "gram_inputs", None)
     if offer is None:
         return None
-    inputs = offer()
-    u = inputs[0].shape[1]
-    return inputs if eta.shape[1] >= u * (u - 1) // 2 else None
+    eps, touched, a, b, v_ab = offer()
+    u = np.count_nonzero(touched)
+    if eta.shape[1] < u * (u - 1) // 2:
+        return None
+    return eps[:, touched], a, b, v_ab
 
 
 def _gram_ar1_sums(e, a, b):
@@ -108,26 +108,25 @@ def _gram_ar1_sums(e, a, b):
 
 
 def _ar1_summaries(eta):
-    """Per-column AR(1) lag-1 correlation and innovation variance, over at
-    most BANDWIDTH_MAX_COLUMNS evenly spaced columns, from the demeaned sums
-    (sum_{t < n-1} z_t^2, sum_t z_t z_{t+1}, sum_{t > 0} z_t^2) of either
-    route."""
+    """Per-column AR(1) lag-1 correlation and innovation variance of every
+    column, from the demeaned sums (sum_{t < n-1} z_t^2, sum_t z_t z_{t+1},
+    sum_{t > 0} z_t^2) of either route; the column route takes SCORE_BLOCK
+    columns at a time."""
     n, r = eta.shape
-    if r > BANDWIDTH_MAX_COLUMNS:
-        idx = np.unique(np.linspace(0, r - 1, BANDWIDTH_MAX_COLUMNS)
-                        .astype(np.int64))
-    else:
-        idx = np.arange(r)
     gram = _gram_inputs(eta)
     if gram is not None:
-        e, a, b, _ = gram
-        head, lag1, tail = _gram_ar1_sums(e, a[idx], b[idx])
+        head, lag1, tail = _gram_ar1_sums(*gram[:3])
     else:
-        x = eta[:, idx]  # a gathered copy: demeaning never touches eta
-        x -= x.mean(axis=0)
-        head, lag1, tail = ((x[:-1] * x[:-1]).sum(axis=0),
-                            (x[1:] * x[:-1]).sum(axis=0),
-                            (x[1:] * x[1:]).sum(axis=0))
+        head, lag1, tail = np.empty(r), np.empty(r), np.empty(r)
+        for start in range(0, r, SCORE_BLOCK):
+            stop = min(start + SCORE_BLOCK, r)
+            # an index array gathers a column-major copy, as LazyEta reads
+            # do: demeaning never touches eta, and each sum keeps its bits
+            x = eta[:, np.arange(start, stop)]
+            x -= x.mean(axis=0)
+            head[start:stop] = (x[:-1] * x[:-1]).sum(axis=0)
+            lag1[start:stop] = (x[1:] * x[:-1]).sum(axis=0)
+            tail[start:stop] = (x[1:] * x[1:]).sum(axis=0)
     keep = head > 0.0
     if not np.any(keep):
         return None, None

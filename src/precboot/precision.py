@@ -7,9 +7,10 @@ rescaling.
 
 The residual-product scores of an index set are never held whole. Readers
 take columns, ``eta[:, cols]``, and each read forms just those columns from
-the residuals; ``LazyEta.gram_inputs`` hands out the residuals of the
-variables the set touches and its pairs as their columns instead. How and
-when each is read is decided by the readers (``longrun``, ``bootstrap``).
+the residuals; ``LazyEta.gram_inputs`` hands out the residuals, the mask
+of the variables the set touches and its pairs as columns of the masked
+residuals instead, and copies nothing. How and when each is read is
+decided by the readers (``longrun``, ``bootstrap``).
 """
 from __future__ import annotations
 
@@ -85,14 +86,15 @@ class LazyEta:
         return out
 
     def gram_inputs(self) -> tuple:
-        """(E, a, b, v_ab): E holds the n x |U| residuals of the variables U
-        that S touches, pair l is columns (a[l], b[l]) of E, and v_ab is
-        v_hat of each pair."""
+        """(eps, touched, a, b, v_ab): the n x p residuals and the mask of
+        the variables U that S touches, so that E = eps[:, touched] holds
+        the residuals of U; pair l is columns (a[l], b[l]) of E, and v_ab
+        is v_hat of each pair. Nothing is copied until a reader gathers E."""
         touched = np.zeros(self._eps.shape[1], dtype=bool)
         touched[self._rows] = True
         touched[self._cols] = True
         local = np.cumsum(touched) - 1  # variable -> column of E
-        return (self._eps[:, touched], local[self._rows], local[self._cols],
+        return (self._eps, touched, local[self._rows], local[self._cols],
                 self._v[self._rows, self._cols])
 
 

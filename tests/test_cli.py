@@ -301,6 +301,8 @@ class TestInputsCheckedBeforeFit:
         ["test", "--set", "offdiag"],
         ["test", "--set", "offdiag", "--zero", "--c-file", "c.csv"],
         ["test", "--set", "offdiag", "--c-file", "c.csv"],
+        ["test", "--set", "offdiag", "--c-file", "c-nan.csv"],
+        ["test", "--set", "offdiag", "--c-file", "c-inf.csv"],
         ["estimate", "--set", "everything"],
         ["estimate", "--bandwidth", "0"],
         ["recover", "--set", "pairs", "pairs.csv"],
@@ -312,7 +314,8 @@ class TestInputsCheckedBeforeFit:
         ["estimate", "--threads", "0"],
     ], ids=["blocks-no-group-map", "recover-unknown-set",
             "recover-bad-bandwidth", "test-no-target", "test-both-targets",
-            "test-short-c-file", "estimate-unknown-set",
+            "test-short-c-file", "test-nan-c-file", "test-inf-c-file",
+            "estimate-unknown-set",
             "estimate-bad-bandwidth", "recover-pair-above-p",
             "recover-negative-band", "recover-negative-lambda-scale",
             "estimate-nan-lambda-scale", "recover-negative-seed",
@@ -320,14 +323,16 @@ class TestInputsCheckedBeforeFit:
     def test_exits_1_without_fitting(self, tmp_path, data_csv, argv):
         path, _ = data_csv
         (tmp_path / "c.csv").write_text("0\n")  # 1 value, |offdiag| = 56
+        for bad in ("nan", "inf"):  # 56 values, one of them not finite
+            (tmp_path / f"c-{bad}.csv").write_text("0\n" * 20 + f"{bad}\n"
+                                                   + "0\n" * 35)
         (tmp_path / "pairs.csv").write_text("1,2\n1,9\n")  # p = 8
-        argv = [tmp_path / a if a in ("c.csv", "pairs.csv") else a
-                for a in argv]
+        inputs = sorted(f.name for f in tmp_path.iterdir())
+        argv = [tmp_path / a if a in inputs else a for a in argv]
         out = tmp_path / "out.csv"
         assert run_cli(argv + ["--data", path, "--boot-M", "10",
                                "--out", out]) == 1
-        assert sorted(f.name for f in tmp_path.iterdir()) == \
-            ["c.csv", "data.csv", "pairs.csv"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "--set", "offdiag", "--alpha", "1.5"], "--alpha"),

@@ -102,6 +102,38 @@ class TestBandwidth:
         x = np.cumsum(rng.standard_normal((200, 3)), axis=0)
         assert andrews_bandwidth(x, QS) == andrews_bandwidth(x.copy(), QS)
 
+    def test_invariant_to_pair_order_on_gram_route(self, rng):
+        # all 5,550 off-diagonal pairs at p = 75, the fit held fixed: the
+        # plug-in reads every pair, so listing them in another order moves
+        # S_n by rounding only
+        from precboot.core import index_set_all_offdiag
+
+        e = ar1_scores(rng, 150, 75)
+        v = np.eye(75) + 0.1
+        pairs = index_set_all_offdiag(75).pairs
+        eta = moment_scores(e, v, pairs)
+        assert eta.shape[1] > 5000 and _gram_inputs(eta) is not None
+        for spec in (QS, BART):
+            want = andrews_bandwidth(eta, spec)
+            for _ in range(2):
+                shuffled = moment_scores(e, v, rng.permutation(pairs))
+                assert andrews_bandwidth(shuffled, spec) == pytest.approx(
+                    want, rel=1e-12)
+
+    def test_invariant_to_column_order_on_column_route(self, rng,
+                                                       monkeypatch):
+        from precboot import longrun
+
+        eta = ar1_scores(rng, 40, 5500) * rng.uniform(0.5, 2.0, 5500)
+        for block in (longrun.SCORE_BLOCK, 700):
+            monkeypatch.setattr(longrun, "SCORE_BLOCK", block)
+            for spec in (QS, BART):
+                want = andrews_bandwidth(eta, spec)
+                for _ in range(2):
+                    shuffled = eta[:, rng.permutation(eta.shape[1])]
+                    assert andrews_bandwidth(shuffled, spec) == \
+                        pytest.approx(want, rel=1e-12)
+
     def test_ar_column_grows_bandwidth(self, rng):
         eps = rng.standard_normal(2000)
         ar = np.empty(2000)
@@ -323,8 +355,8 @@ def index_w_diag(eta, h_diag, s_n, kernel):
 
 
 def broadcast_ar1_summaries(eta):
-    """_ar1_summaries as a chain of broadcast temporaries, for r up to
-    BANDWIDTH_MAX_COLUMNS: the demeaned (head, lag-1, tail) sums, then
+    """_ar1_summaries as a chain of broadcast temporaries over all r columns
+    at once: the demeaned (head, lag-1, tail) sums, then
     sigma^2 = (tail - 2 r1 lag1 + r1^2 head) / (n - 1)."""
     x = eta[:, np.arange(eta.shape[1])]
     x = x - x.mean(axis=0)
@@ -444,12 +476,16 @@ class TestAr1Summaries:
         np.testing.assert_array_equal(rho, rho_o)
         np.testing.assert_allclose(sig2, sig2_o, rtol=1e-13)
 
-    def test_input_unmodified(self, rng):
+    def test_input_unmodified(self, rng, monkeypatch):
+        # the second input spans three blocks of the column route
+        from precboot import longrun
         from precboot.longrun import _ar1_summaries
-        eta = ar1_scores(rng, 40, 6) + 3.0
-        before = eta.copy()
-        _ar1_summaries(eta)
-        np.testing.assert_array_equal(eta, before)
+        for block, r in ((longrun.SCORE_BLOCK, 6), (4, 10)):
+            monkeypatch.setattr(longrun, "SCORE_BLOCK", block)
+            eta = ar1_scores(rng, 40, r) + 3.0
+            before = eta.copy()
+            _ar1_summaries(eta)
+            np.testing.assert_array_equal(eta, before)
 
 
 def moment_scores(residuals, v, pairs):
@@ -507,10 +543,29 @@ class TestScoreMoments:
         for pairs, dense in cases:
             eta = moment_scores(e, v, pairs)
             assert (_gram_inputs(eta) is not None) == dense
-            big, a, b, v_ab = eta.gram_inputs()
+            eps, touched, a, b, v_ab = eta.gram_inputs()
+            big = eps[:, touched]
             assert big.shape[1] == np.unique(np.asarray(pairs)).size
             np.testing.assert_array_equal(big[:, a] * big[:, b] - v_ab,
                                           eta[:, :])
+
+    def test_route_chosen_before_residuals_are_gathered(self):
+        # residuals that refuse every read by index: a block pair (100 pairs
+        # of 20 variables) is sent to the columns without gathering E, and
+        # the ten pairs of five variables gather it for the Grams
+        from precboot.core import index_set_from_blocks
+
+        class Refuse(np.ndarray):
+            def __getitem__(self, key):
+                raise AssertionError("the residuals were gathered")
+
+        e = np.random.default_rng(1).standard_normal((30, 20)).view(Refuse)
+        groups = {"a": list(range(1, 11)), "b": list(range(11, 21))}
+        block = index_set_from_blocks(groups, ("a", "b")).pairs
+        assert _gram_inputs(moment_scores(e, np.eye(20), block)) is None
+        five = [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]
+        with pytest.raises(AssertionError, match="gathered"):
+            _gram_inputs(moment_scores(e, np.eye(20), five))
 
     def test_gram_route_forms_no_column(self, paper_shapes, monkeypatch):
         # with every column read made to raise, the dense sets still give
@@ -630,17 +685,21 @@ class TestScoreMoments:
 
         pipes = [fit_pipeline(center(Dataset(ar1_scores(rng, 90, 8))))
                  for _ in range(4)]
-        S = index_set_all_offdiag(8)
+        # all pairs take the Grams; five pairs of eight variables take the
+        # columns, in two blocks at SCORE_BLOCK = 3
+        sets = (index_set_all_offdiag(8),
+                IndexSet(np.array([[1, 2], [3, 4], [5, 6], [7, 8], [2, 1]])))
+        jobs = [(pipe, S) for pipe in pipes for S in sets]
 
-        def one(pipe):
+        def one(job):
+            pipe, S = job
             eta, h = pipe.scores(S)
             s_n = andrews_bandwidth(eta, QS)
             return s_n, w_diag(eta, h, s_n, QS)
 
-        want = [one(pipe) for pipe in pipes]
+        want = [one(job) for job in jobs]
         monkeypatch.setattr(longrun, "SCORE_BLOCK", 3)
-        for got in ([one(pipe) for pipe in pipes],
-                    map_ordered(one, pipes, 2)):
+        for got in ([one(job) for job in jobs], map_ordered(one, jobs, 2)):
             for (s_n, w), (s_want, w_want) in zip(got, want):
                 assert s_n == s_want
                 np.testing.assert_array_equal(w, w_want)

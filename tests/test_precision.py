@@ -3,7 +3,8 @@ import pytest
 
 from precboot import SymMatrix, estimate_omega, estimate_v
 from precboot.core import IndexSet
-from precboot.errors import DegenerateResiduals, InvalidInput
+from precboot.errors import DegenerateResiduals, InvalidDimension, \
+    InvalidInput
 from precboot.nodewise import NodewiseFit
 from precboot.precision import scores_for
 
@@ -121,6 +122,16 @@ class TestLazyPath:
         eta = scores_for(fit, estimate_v(fit), IndexSet(np.array([[1, 2]])))
         with pytest.raises((InvalidInput, TypeError)):
             eta[key]
+
+    def test_pair_above_p_is_a_typed_error(self, rng):
+        from precboot import Dataset, fit_pipeline
+
+        pipe = fit_pipeline(Dataset(rng.standard_normal((40, 6))))
+        S = IndexSet(np.array([[1, 2], [1, 9], [7, 3]]))
+        for read in (pipe.omega_on, pipe.scores):
+            with pytest.raises(InvalidDimension,
+                               match=r"pair \(1, 9\) is outside 1\.\.6"):
+                read(S)
 
 
 class TestOracleConsistency:
