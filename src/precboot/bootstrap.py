@@ -11,6 +11,12 @@ routes give that law:
   * r < n: factor eta' A eta itself (R R' = eta' A eta) and draw r normals
     per draw, so no n x n factor is formed.
 
+Both routes take the one factor ``psd_factor``: the unique symmetric root
+of the correlation matrix, scaled by the standard deviations. The draws
+are then a function of the covariance alone, not of which factorization
+succeeded or of the signs LAPACK gives the eigenvectors, and a small
+change of the bandwidth moves them a little.
+
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
 
@@ -30,19 +36,10 @@ import numpy as np
 from . import longrun
 from .core import RngSpec
 from .errors import InvalidInput, InvalidLevel, ShapeError
-from .longrun import KernelSpec, andrews_bandwidth, kernel_eval, \
-    lag_toeplitz, w_diag as w_diag_fn
+from .longrun import KernelSpec, andrews_bandwidth, check_bandwidth, \
+    kernel_eval, lag_toeplitz, w_diag as w_diag_fn
 
 DRAW_CHUNK = 256
-
-
-def check_bandwidth(value: float) -> float:
-    """``value`` if it is a usable bandwidth S_n (finite and positive),
-    else InvalidInput."""
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidInput("bandwidth must be a positive finite number, "
-                           f"got {value}")
-    return value
 
 
 @dataclass
@@ -116,32 +113,31 @@ class BootstrapResult:
 def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
     """The n x n multiplier covariance A with A[i, j] = K(|i-j|/S_n)."""
     # A is Toeplitz: evaluate K once per lag, then spread it by |i - j|
-    by_lag = kernel_eval(kernel, np.arange(n) / s_n)
+    by_lag = kernel_eval(kernel, np.arange(n) / check_bandwidth(s_n))
     return lag_toeplitz(by_lag).copy()
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """A factor R with R R' = cov for a symmetric positive semi-definite
-    ``cov``, taken in correlation form: R = D V sqrt(vals) with
-    D = diag(sqrt(diag cov)) and V, vals the eigenpairs (negative ones
-    clipped to 0) of D^-1 cov D^-1, so rescaling a variable rescales its row
-    of R and nothing else. Variables with zero variance get a zero row."""
+    """The factor R = D C^(1/2) of a symmetric positive semi-definite
+    ``cov``: D = diag(sqrt(diag cov)), C = D^-1 cov D^-1 and C^(1/2) =
+    V sqrt(vals) V' the symmetric root from the eigenpairs of C (negative
+    eigenvalues clipped to 0). R R' = cov, and R is unique: it does not
+    depend on the signs or the order of the eigenvectors. Rescaling a
+    variable rescales its row of R and nothing else; a variable with zero
+    variance gets a zero row."""
     d = np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
     safe = np.where(d > 0.0, d, 1.0)
     vals, vecs = np.linalg.eigh(cov / np.outer(safe, safe))
-    return d[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+    return d[:, None] * root
 
 
 def gaussian_mult_factor(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
-    """A factor L with L L' = A (Cholesky when possible, else
-    ``psd_factor``)."""
+    """``psd_factor`` of A = multiplier_cov(n, s_n, kernel); A has a unit
+    diagonal, so this is its symmetric root A^(1/2)."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    a = multiplier_cov(n, s_n, kernel)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return psd_factor(a)
+    return psd_factor(multiplier_cov(n, s_n, kernel))
 
 
 def score_mult_factor(eta, s_n: float, kernel: KernelSpec) -> np.ndarray:

@@ -20,12 +20,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, check_bandwidth, kmb_draws
+from .bootstrap import BootstrapConfig, kmb_draws
 from .core import Dataset, IndexSet, RngSpec, index_set_all_offdiag, \
     index_set_from_blocks, index_set_from_mask
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
 from .inference import block_test_matrix, recover_support, test_structure
-from .longrun import KernelSpec
+from .longrun import KernelSpec, check_bandwidth
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
 from .simulate import DgpSpec, coverage_experiment, write_coverage_csv

@@ -18,6 +18,8 @@ from .errors import EmptyBlock, InsufficientData, InvalidDimension, \
     InvalidInput
 
 CENTER_TOL = 1e-9
+# a Dataset needs this many time points
+MIN_N = 4
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,9 @@ class Dataset:
         if values.ndim != 2:
             raise InvalidDimension("data must be a 2-d array")
         n, p = values.shape
-        if n < 4:
-            raise InsufficientData(f"need n >= 4 observations, got {n}")
+        if n < MIN_N:
+            raise InsufficientData(
+                f"need n >= {MIN_N} observations, got {n}")
         if p < 2:
             raise InvalidDimension(f"need p >= 2 variables, got {p}")
         if self.centered:

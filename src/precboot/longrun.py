@@ -24,6 +24,7 @@ how the scores are read, by one of two routes:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,17 @@ TOEPLITZ_MAX_ENTRIES = 2**22
 
 RHO_CLIP = 0.97
 W_FLOOR_EPS = 1e-8
+# the AR(1) plug-in needs this many time points
+PLUG_IN_MIN_N = 8
+
+
+def check_bandwidth(value: float) -> float:
+    """``value`` if it is a usable bandwidth S_n (finite and positive),
+    else InvalidInput."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInput("bandwidth must be a positive finite number, "
+                           f"got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -138,8 +150,9 @@ def _ar1_summaries(eta):
 def andrews_bandwidth(eta, kernel: KernelSpec) -> float:
     """AR(1) plug-in bandwidth, clipped to [1, 3 n^(1/5)]."""
     n = eta.shape[0]
-    if n < 8:
-        raise InsufficientData("bandwidth selection needs n >= 8")
+    if n < PLUG_IN_MIN_N:
+        raise InsufficientData(
+            f"bandwidth selection needs n >= {PLUG_IN_MIN_N}, got {n}")
     rho, sig2 = _ar1_summaries(eta)
     if rho is None:
         warnings.warn("all score columns are constant; bandwidth set to 1",
@@ -167,7 +180,7 @@ def kernel_lag_weights(kernel: KernelSpec, n: int, s_n: float) -> np.ndarray:
 
     The lag-0 weight is always kept.
     """
-    w = kernel_eval(kernel, np.arange(n) / s_n)
+    w = kernel_eval(kernel, np.arange(n) / check_bandwidth(s_n))
     w = np.where(np.abs(w) < kernel.truncation_eps, 0.0, w)
     w[0] = 1.0
     return w

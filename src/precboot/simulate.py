@@ -14,11 +14,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws, max_statistic
-from .core import Dataset, IndexSet, RngSpec, SymMatrix, center_in_place, \
-    index_set_all_offdiag, index_set_from_mask, map_ordered
-from .errors import GenerationError, InvalidDimension, InvalidInput, \
-    PrecbootError
-from .longrun import lag_toeplitz, w_diag as w_diag_fn
+from .core import MIN_N, Dataset, IndexSet, RngSpec, SymMatrix, \
+    center_in_place, index_set_all_offdiag, index_set_from_mask, map_ordered
+from .errors import GenerationError, InsufficientData, InvalidDimension, \
+    InvalidInput, PrecbootError
+from .longrun import PLUG_IN_MIN_N, lag_toeplitz, w_diag as w_diag_fn
 from .nodewise import LassoConfig, fit_batch, node_penalties
 from .pipeline import PipelineFit, assemble
 
@@ -219,10 +219,18 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     draws run on their own. The results do not depend on the batch size or on
     ``threads``. A replicate that raises a PrecbootError (generation, the
     data checks, a fit in which no node converged, ``estimate_v``) counts
-    as one failure and leaves the rest of its batch unaffected.
+    as one failure and leaves the rest of its batch unaffected. An n below
+    the limit of a Dataset, or of the plug-in bandwidth when no bandwidth
+    is configured, raises InsufficientData before any draw.
     """
     if replicates < 1 or truth_reps < 1:
         raise InvalidInput("replicates and truth_reps must be >= 1")
+    plug_in = boot_cfg.bandwidth is None
+    min_n = max(MIN_N, PLUG_IN_MIN_N) if plug_in else MIN_N
+    if dgp.n < min_n:
+        raise InsufficientData(
+            f"no replicate can be fitted at n = {dgp.n}: need n >= {min_n}"
+            + (" for the plug-in bandwidth" if plug_in else ""))
     t0 = time.perf_counter()
     lasso_cfg = lasso_cfg or LassoConfig()
     S = index_set_for(index_choice, dgp.structure, dgp.p)

@@ -82,11 +82,12 @@ def fit_node(data, j, lam, cfg):
 def draw_vectors(eta, h_diag, cfg, coord_sd=None, n_by_n=None):
     """Full r x M matrix of bootstrap vectors at the fixed ``cfg.bandwidth``,
     divided entrywise by coord_sd when it is given. Column m is
-    diag(h) eta' L z_m / sqrt(n), with L L' = A the multiplier covariance and
-    z_m the n standard normals of draw m's own substream, when r >= n or
-    ``n_by_n``; otherwise it is diag(h) R z_m / sqrt(n), with R R' = eta' A eta
-    factored in correlation form and z_m the first r normals of that
-    substream."""
+    diag(h) eta' L z_m / sqrt(n), with L = A^(1/2) the symmetric root of the
+    multiplier covariance and z_m the n standard normals of draw m's own
+    substream, when r >= n or ``n_by_n``; otherwise it is
+    diag(h) R z_m / sqrt(n), with R = D C^(1/2) for eta' A eta = D C D,
+    D = diag(sd) and C^(1/2) the symmetric root of the correlation matrix,
+    and z_m the first r normals of that substream."""
     n, r = eta.shape
     if n_by_n is None:
         n_by_n = r >= n
@@ -96,7 +97,8 @@ def draw_vectors(eta, h_diag, cfg, coord_sd=None, n_by_n=None):
         xi = eta.T @ multiplier_cov(n, cfg.bandwidth, cfg.kernel) @ eta
         sd = np.sqrt(np.diag(xi))
         vals, vecs = np.linalg.eigh(xi / np.outer(sd, sd))
-        factor = sd[:, None] * vecs * np.sqrt(np.maximum(vals, 0.0))
+        factor = sd[:, None] * (vecs * np.sqrt(np.maximum(vals, 0.0))
+                                @ vecs.T)
     z = np.column_stack([cfg.rng.generator(m).standard_normal(factor.shape[1])
                          for m in range(cfg.M)])
     scale = h_diag / math.sqrt(n)

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from precboot import Dataset, IndexSet, RngSpec, center, fit_pipeline, \
-    gaussian_mult_factor, index_set_all_offdiag, kmb_draws, longrun, \
-    multiplier_cov, recover_support
+from precboot import Dataset, IndexSet, RngSpec, bootstrap, center, \
+    fit_pipeline, gaussian_mult_factor, index_set_all_offdiag, kmb_draws, \
+    longrun, multiplier_cov, recover_support
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, max_statistic, psd_factor, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, ShapeError
@@ -53,16 +53,38 @@ class TestMultiplierFactor:
         with pytest.raises(InvalidInput):
             gaussian_mult_factor(0, 1.0, QS)
 
-    def test_fallback_is_psd_factor(self):
-        # Cholesky fails on A at this bandwidth; A has a unit diagonal, so
-        # the correlation form of psd_factor is the plain clipped eigh root
-        a = multiplier_cov(150, 2.5, QS)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(a)
-        got = psd_factor(a)
-        want = gaussian_mult_factor(150, 2.5, QS)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    @pytest.mark.parametrize("spec, s_n", [(QS, 2.5), (QS, 1.0), (BART, 2.5)],
+                             ids=["qs", "qs-unit", "bartlett"])
+    def test_is_symmetric_root(self, spec, s_n):
+        # one factor whether or not A has a Cholesky factor (at n = 150 it
+        # has none for QS at S_n = 2.5, and one for the other two): A has a
+        # unit diagonal, so psd_factor gives its symmetric root A^(1/2)
+        a = multiplier_cov(150, s_n, spec)
+        got = gaussian_mult_factor(150, s_n, spec)
+        assert np.array_equal(got, psd_factor(a))
+        np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got @ got, a, rtol=0, atol=1e-8)
+
+    def test_small_bandwidth_step_moves_draws_little(self):
+        # S_n from 1.0 to 1.8 in 1% steps crosses the bandwidths where A
+        # stops having a Cholesky factor (33 of these 60 have one); a factor
+        # chosen by whether Cholesky succeeds, or one that carries the signs
+        # of the eigenvectors, moved g = L z by up to 5.2 in one step
+        z = np.random.default_rng(7).standard_normal(150)
+        draws = [gaussian_mult_factor(150, 1.01 ** k, QS) @ z
+                 for k in range(60)]
+        assert np.abs(np.diff(draws, axis=0)).max() <= 0.5
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_bandwidth(self, bandwidth):
+        # K is even, so a negative S_n would otherwise pass as |S_n|, and
+        # S_n = 0 or nan would give a NaN factor
+        with pytest.raises(InvalidInput, match="bandwidth"):
+            multiplier_cov(10, bandwidth, QS)
+        with pytest.raises(InvalidInput, match="bandwidth"):
+            gaussian_mult_factor(10, bandwidth, QS)
+        with pytest.raises(InvalidInput, match="bandwidth"):
+            score_mult_factor(np.ones((10, 2)), bandwidth, QS)
 
     @pytest.mark.parametrize("spec", [QS, QS_EXACT, BART],
                              ids=["qs", "qs-exact", "bartlett"])
@@ -85,6 +107,19 @@ def serially_dependent(rng, n, r, phi=0.5):
     return e
 
 
+def flip_eigenvector_signs(monkeypatch):
+    """Make np.linalg.eigh negate every other eigenvector: the same
+    eigenpairs with other signs, which LAPACK is free to return."""
+    eigh = np.linalg.eigh
+
+    def flipped(a):
+        vals, vecs = eigh(a)
+        vecs[:, ::2] *= -1.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+
+
 class TestScoreMultFactor:
     @pytest.mark.parametrize("n, r, s_n, kernel", [
         (40, 7, 2.5, QS), (200, 30, 4.0, QS), (60, 59, 3.0, BART),
@@ -105,6 +140,15 @@ class TestScoreMultFactor:
         xi = eta.T @ multiplier_cov(30, 2.0, QS) @ eta
         np.testing.assert_allclose(factor @ factor.T, xi, rtol=0,
                                    atol=1e-10 * np.abs(xi).max())
+
+    def test_eigenvector_signs_do_not_change_factor(self, rng, monkeypatch):
+        # V sqrt(vals) V' pairs each eigenvector with itself, and negating
+        # both factors of a product is exact
+        eta = serially_dependent(rng, 40, 12) * rng.uniform(0.1, 10.0, 12)
+        cov = eta.T @ multiplier_cov(40, 2.5, QS) @ eta
+        want = psd_factor(cov)
+        flip_eigenvector_signs(monkeypatch)
+        assert np.array_equal(psd_factor(cov), want)
 
 
 def unbuffered_stats(eta, h_diag, cfg, studentized):
@@ -175,6 +219,42 @@ class TestKmbDraws:
             (res1,) = kmb_draws(eta, h, cfg, (True,))
             (res2,) = kmb_draws(eta * scale[None, :], h, cfg, (True,))
             np.testing.assert_allclose(res1.stats, res2.stats, rtol=1e-9)
+
+    def test_eigenvector_signs_do_not_change_draws(self, rng, monkeypatch):
+        # r < n, then r >= n at an A with no Cholesky factor
+        cfg = BootstrapConfig(rng=RngSpec(15), M=100, bandwidth=2.5)
+        cases = []
+        for n, r in ((40, 12), (30, 45)):
+            eta = serially_dependent(rng, n, r)
+            h = rng.uniform(0.5, 2.0, r)
+            cases.append((eta, h, kmb_draws(eta, h, cfg, (False, True))))
+        flip_eigenvector_signs(monkeypatch)
+        for eta, h, want in cases:
+            for res, ref in zip(kmb_draws(eta, h, cfg, (False, True)), want):
+                np.testing.assert_array_equal(res.stats, ref.stats)
+
+    def test_draw_chunk_changes_stats_only_by_rounding(self, rng,
+                                                       monkeypatch):
+        # M = 310 is a multiple of none of the chunks 7, 256 and 300. Each
+        # draw keeps its own substream, so every chunking draws the same
+        # normals; but a BLAS product's column depends on how many columns
+        # are multiplied with it (OpenBLAS 0.3.31 moved the stats by up to
+        # 2.7e-15), so agreement is to rounding, not bitwise
+        cfg = BootstrapConfig(rng=RngSpec(14), M=310, bandwidth=2.0)
+        cases = []
+        for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
+            eta = serially_dependent(rng, n, r)
+            h = rng.uniform(0.5, 2.0, r)
+            cases.append((eta, h, kmb_draws(eta, h, cfg, (False, True))))
+        for chunk in (1, 7, 300):
+            monkeypatch.setattr(bootstrap, "DRAW_CHUNK", chunk)
+            for eta, h, want in cases:
+                for res, ref in zip(kmb_draws(eta, h, cfg, (False, True)),
+                                    want):
+                    assert res.bandwidth == ref.bandwidth
+                    np.testing.assert_array_equal(res.scale, ref.scale)
+                    np.testing.assert_allclose(res.stats, ref.stats,
+                                               rtol=1e-13)
 
     def test_determinism(self, rng):
         eta = rng.standard_normal((25, 3))

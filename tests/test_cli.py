@@ -219,6 +219,35 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("n, bandwidth, limit", [
+        ("3", "auto", "n >= 8 for the plug-in bandwidth"),
+        ("0", "auto", "n >= 8 for the plug-in bandwidth"),
+        ("6", "auto", "n >= 8 for the plug-in bandwidth"),
+        ("3", "2", "n >= 4"),
+    ], ids=["n3-auto", "n0-auto", "n6-auto", "n3-fixed"])
+    def test_unfittable_n_exits_1_before_drawing(
+            self, tmp_path, monkeypatch, capsys, n, bandwidth, limit):
+        # no replicate can be fitted below these limits: a Dataset needs
+        # n >= 4 and the plug-in bandwidth n >= 8
+        def draw_block(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+        monkeypatch.setattr("precboot.simulate._draw_block", draw_block)
+        assert run_cli(["simulate", "--structure", "A", "--p", "5", "--n", n,
+                        "--reps", "2", "--truth-reps", "4", "--boot-M", "10",
+                        "--bandwidth", bandwidth,
+                        "--out", tmp_path / "cov.csv"]) == 1
+        err = capsys.readouterr().err
+        assert f"n = {n}: need {limit}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_below_plug_in_limit_runs_at_fixed_bandwidth(self, tmp_path):
+        assert run_cli(["simulate", "--structure", "A", "--p", "5", "--n",
+                        "6", "--reps", "2", "--truth-reps", "4", "--boot-M",
+                        "10", "--bandwidth", "2",
+                        "--out", tmp_path / "cov.csv"]) == 0
+        assert len(list(csv.DictReader(open(tmp_path / "cov.csv")))) == 6
+
+
 class TestEstimateCommand:
     def test_round_trip_bitwise(self, tmp_path, data_csv):
         path, values = data_csv

@@ -232,6 +232,15 @@ class TestWDiag:
         with pytest.raises(InvalidInput):
             w_diag(rng.standard_normal((10, 3)), np.ones(2), 1.0, QS)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_bandwidth(self, rng, bandwidth):
+        # S_n = nan gave NaN variances, and K is even, so S_n = -1 was read
+        # as +1; the lag weights now refuse such an S_n on either route
+        with pytest.raises(InvalidInput, match="bandwidth"):
+            kernel_lag_weights(QS, 10, bandwidth)
+        with pytest.raises(InvalidInput, match="bandwidth"):
+            w_diag(rng.standard_normal((10, 3)), np.ones(3), bandwidth, QS)
+
 
 def direct_w(eta, h, s_n, spec):
     """h_l^2 (1/n) sum over |k| < n of K(k/S_n) sum_t x_{t,l} x_{t-|k|,l},

@@ -69,3 +69,36 @@ class TestVariablePermutation:
         assert edges[0]
         mapped = {(perm[j1 - 1] + 1, perm[j2 - 1] + 1) for j1, j2 in edges[1]}
         assert mapped == set(edges[0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plug_in_bandwidth_and_edges_are_permuted(self, seed):
+        # offdiag at p = 75 has r = 5,550 pairs, more than the plug-in once
+        # read, and r >= n, so the max statistic does not depend on the
+        # column order. Relabelling the variables only reorders the pairs,
+        # which the plug-in reads all of; but the permuted node-wise fits
+        # agree only to the CD tolerance, so S_n agrees to rtol 1e-6, not
+        # 1e-12 (the relative differences were 5.6e-10 at seed 0 and
+        # 3.7e-9 at seed 1)
+        p, alpha = 75, 0.05
+        dgp = DgpSpec(structure="A", p=p, rho=0.3, n=200,
+                      rng=RngSpec(seed, "perm"))
+        data = generate(dgp)
+        perm = np.random.default_rng(seed).permutation(p)
+        S = index_set_all_offdiag(p)
+        cfg = BootstrapConfig(rng=RngSpec(seed, "boot"), M=300)
+        bandwidths, edges = [], []
+        for sample in (data, permuted(data, perm)):
+            pipe = fit_pipeline(sample)
+            eta, h = pipe.scores(S)
+            (boot,) = kmb_draws(eta, h, cfg)
+            omega_s = pipe.omega_on(S)
+            # premise: no |omega| is within reach of its threshold; the two
+            # runs' omega and thresholds differ by about 1e-7 and 1e-8
+            threshold = boot.half_width(1.0 - alpha)
+            assert np.abs(np.abs(omega_s) - threshold).min() > 1e-5
+            bandwidths.append(boot.bandwidth)
+            edges.append(recover_support(omega_s, S, boot, alpha))
+        assert S.r > 5000 and edges[0]
+        assert bandwidths[1] == pytest.approx(bandwidths[0], rel=1e-6)
+        mapped = {(perm[j1 - 1] + 1, perm[j2 - 1] + 1) for j1, j2 in edges[1]}
+        assert mapped == set(edges[0])
