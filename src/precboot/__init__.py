@@ -46,7 +46,6 @@ from .simulate import (
     coverage_experiment,
     generate,
     true_zero_set,
-    write_coverage_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

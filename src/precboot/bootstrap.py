@@ -34,10 +34,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import longrun
-from .core import RngSpec
-from .errors import InvalidInput, InvalidLevel, ShapeError
-from .longrun import KernelSpec, andrews_bandwidth, check_bandwidth, \
-    kernel_eval, lag_toeplitz, w_diag as w_diag_fn
+from .core import MIN_N, RngSpec
+from .errors import InsufficientData, InvalidInput, InvalidLevel, ShapeError
+from .longrun import PLUG_IN_MIN_N, KernelSpec, andrews_bandwidth, \
+    check_bandwidth, kernel_eval, lag_toeplitz, w_diag as w_diag_fn
 
 DRAW_CHUNK = 256
 
@@ -54,6 +54,16 @@ class BootstrapConfig:
             raise InvalidInput("M must be >= 1")
         if self.bandwidth is not None:
             check_bandwidth(self.bandwidth)
+
+    def check_n(self, n: int):
+        """InsufficientData naming n and the limit when a Dataset (MIN_N) or
+        the plug-in bandwidth (PLUG_IN_MIN_N) cannot be formed at n."""
+        plug_in = self.bandwidth is None
+        min_n = max(MIN_N, PLUG_IN_MIN_N) if plug_in else MIN_N
+        if n < min_n:
+            raise InsufficientData(
+                f"too few time points at n = {n}: need n >= {min_n}"
+                + (" for the plug-in bandwidth" if plug_in else ""))
 
     def bandwidth_for(self, eta) -> float:
         """The configured bandwidth S_n, else the Andrews AR(1) plug-in for

@@ -1,5 +1,6 @@
 """Command-line surface: data ingestion, pipeline execution, simulation
-harness and report emission.
+harness and report emission. The library returns objects; this module alone
+reads and writes files.
 
 Every run writes its primary output as CSV (or JSON for single test
 outcomes) plus a ``<out>.manifest.json`` capturing seed, penalties,
@@ -14,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -24,11 +24,12 @@ from .bootstrap import BootstrapConfig, kmb_draws
 from .core import Dataset, IndexSet, RngSpec, index_set_all_offdiag, \
     index_set_from_blocks, index_set_from_mask
 from .errors import InvalidInput, InvalidPrice, MissingValue, PrecbootError
-from .inference import block_test_matrix, recover_support, test_structure
-from .longrun import KernelSpec, check_bandwidth
+from .inference import block_pairs, block_test_matrix, recover_support, \
+    test_structure
+from .longrun import KernelSpec
 from .nodewise import LassoConfig
 from .pipeline import fit_pipeline
-from .simulate import DgpSpec, coverage_experiment, write_coverage_csv
+from .simulate import DEFAULT_LEVELS, KMB, SKMB, DgpSpec, coverage_experiment
 
 
 class UserError(Exception):
@@ -41,27 +42,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# returns ingestion
+# files and returns ingestion
 
-@dataclass
-class ReturnsSpec:
-    price_csv: str
-    log_returns: bool = True
-    standardize: bool = True
-    group_map: Optional[str] = None
-
-
-def _read_matrix_csv(path, expect_header: bool):
+def _read_csv(path) -> List[List[str]]:
+    """The non-blank rows of a CSV file; an empty file is a user error."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise UserError(f"{path}: empty file")
-    header = None
-    if expect_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    return header, rows
+    return rows
+
+
+def _write_csv(path, header, rows):
+    """A CSV file of ``rows`` under ``header`` (none when it is None)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload: dict):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _num(x) -> str:
+    """A float as text that reads back to the same double."""
+    return f"{x:.17g}"
 
 
 def _numbers(path, rows, convert=float) -> np.ndarray:
@@ -78,13 +87,15 @@ def _numbers(path, rows, convert=float) -> np.ndarray:
     return np.array(out)
 
 
-def ingest_returns(spec: ReturnsSpec):
+def ingest_returns(price_csv, log_returns: bool = True,
+                   standardize: bool = True, group_map=None):
     """Price CSV (header of symbols, one row per day) -> returns Dataset.
 
     Returns (Dataset, groups, kept_symbols); groups maps labels to 1-based
     column indices of the returned matrix and is empty without a group map.
     """
-    symbols, rows = _read_matrix_csv(spec.price_csv, expect_header=True)
+    header, *rows = _read_csv(price_csv)
+    symbols = [c.strip() for c in header]
     n_prices = len(rows)
     if n_prices < 2:
         raise InvalidInput("need at least two price rows to form returns")
@@ -109,25 +120,21 @@ def ingest_returns(spec: ReturnsSpec):
             try:
                 value = float(cell)
             except ValueError:
-                raise UserError(f"{spec.price_csv}: row {i}, symbol {sym}: "
+                raise UserError(f"{price_csv}: row {i}, symbol {sym}: "
                                 f"not a number: {cell!r}") from None
             if not 0.0 < value < math.inf:
                 kind = "non-positive" if value <= 0.0 else "non-finite"
                 raise InvalidPrice(f"{kind} price at row {i}, symbol {sym}")
 
-    if spec.log_returns:
+    if log_returns:
         returns = np.diff(np.log(prices), axis=0)
     else:
         returns = prices[1:] / prices[:-1] - 1.0
 
     keep = np.ones(returns.shape[1], dtype=bool)
-    group_of: Dict[str, str] = {}
-    if spec.group_map is not None:
-        _, map_rows = _read_matrix_csv(spec.group_map, expect_header=False)
-        for row in map_rows:
-            if len(row) < 2:
-                continue
-            group_of[row[0].strip()] = row[1].strip()
+    if group_map is not None:
+        group_of = {row[0].strip(): row[1].strip()
+                    for row in _read_csv(group_map) if len(row) >= 2}
         for j, sym in enumerate(symbols):
             label = group_of.get(sym, "NA")
             if label.upper() == "NA":
@@ -137,7 +144,7 @@ def ingest_returns(spec: ReturnsSpec):
             warnings.warn(f"dropped {len(dropped)} symbols without a group: "
                           + ",".join(dropped))
 
-    if spec.standardize:
+    if standardize:
         sd = returns.std(axis=0, ddof=1)
         constant = sd <= 0.0
         if constant.any():
@@ -154,7 +161,7 @@ def ingest_returns(spec: ReturnsSpec):
         raise InvalidInput("fewer than two usable columns after ingestion")
 
     groups: Dict[str, List[int]] = {}
-    if spec.group_map is not None:
+    if group_map is not None:
         for col, sym in enumerate(kept, start=1):
             groups.setdefault(group_of[sym], []).append(col)
     return Dataset(returns), groups, kept
@@ -164,16 +171,12 @@ def ingest_returns(spec: ReturnsSpec):
 # shared helpers
 
 def _load_dataset(args):
-    if getattr(args, "prices", None):
-        spec = ReturnsSpec(price_csv=args.prices,
-                           log_returns=not args.simple_returns,
-                           standardize=not args.no_standardize,
-                           group_map=getattr(args, "group_map", None))
-        data, groups, _ = ingest_returns(spec)
-        return data, groups
-    if getattr(args, "data", None):
-        _, rows = _read_matrix_csv(args.data, expect_header=False)
-        return Dataset(_numbers(args.data, rows)), {}
+    if args.prices:
+        return ingest_returns(
+            args.prices, log_returns=not args.simple_returns,
+            standardize=not args.no_standardize, group_map=args.group_map)[:2]
+    if args.data:
+        return Dataset(_numbers(args.data, _read_csv(args.data))), {}
     raise UserError("provide --data or --prices")
 
 
@@ -194,8 +197,7 @@ def parse_index_set(tokens: List[str], p: int,
     if head == "zeros-of":
         if len(rest) != 1:
             raise UserError("zeros-of needs one file argument")
-        _, rows = _read_matrix_csv(rest[0], expect_header=False)
-        mat = _numbers(rest[0], rows)
+        mat = _numbers(rest[0], _read_csv(rest[0]))
         if mat.shape != (p, p):
             raise UserError(f"zeros-of matrix must be {p} x {p}")
         mask = (mat == 0.0) & ~np.eye(p, dtype=bool)
@@ -220,7 +222,7 @@ def parse_index_set(tokens: List[str], p: int,
     if head == "pairs":
         if len(rest) != 1:
             raise UserError("pairs needs one file argument")
-        _, rows = _read_matrix_csv(rest[0], expect_header=False)
+        rows = _read_csv(rest[0])
         if any(len(row) < 2 for row in rows):
             raise UserError(f"{rest[0]}: every row needs two indices")
         pairs = _numbers(rest[0], [row[:2] for row in rows], int)
@@ -239,33 +241,38 @@ def parse_index_set(tokens: List[str], p: int,
     raise UserError(f"unknown index-set form {head!r}")
 
 
-def _bandwidth_from(args) -> Optional[float]:
-    if args.bandwidth == "auto":
-        return None
-    try:
-        value = float(args.bandwidth)
-    except ValueError as exc:
-        raise UserError("--bandwidth must be 'auto' or a positive real") from exc
-    return check_bandwidth(value)
-
-
 def _boot_cfg(args) -> BootstrapConfig:
     """The bootstrap settings of a command, once its level flag (--alpha or
-    --fdr, where it has one) is checked to lie in (0, 1) and --threads to
-    be at least 1."""
+    --fdr, where it has one) is checked to lie in (0, 1), --threads to be
+    at least 1 and --bandwidth to be 'auto' or a number."""
     for flag in ("alpha", "fdr"):
         level = getattr(args, flag, None)
         if level is not None and not 0.0 < level < 1.0:
             raise UserError(f"--{flag} must be in (0, 1), got {level}")
     if args.threads < 1:
         raise UserError(f"--threads must be >= 1, got {args.threads}")
+    try:
+        bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
+    except ValueError:
+        raise UserError("--bandwidth must be 'auto' or a positive real") \
+            from None
     return BootstrapConfig(rng=RngSpec(args.seed, "boot"), M=args.boot_M,
                            kernel=KernelSpec(kind=args.kernel),
-                           bandwidth=_bandwidth_from(args))
+                           bandwidth=bandwidth)
 
 
-def _lasso_from(args) -> LassoConfig:
-    return LassoConfig(lambda_scale=args.lambda_scale)
+def _fit_and_draw(args, data, S, cfg):
+    """The node-wise fit of ``data`` and, for an index set S, the --studentized
+    or plain bootstrap on its scores (else None). Given a ``cfg``, an n too
+    small for its draws is an error before the fit."""
+    if cfg is not None:
+        cfg.check_n(data.n)
+    pipe = fit_pipeline(data, LassoConfig(lambda_scale=args.lambda_scale))
+    if S is None:
+        return pipe, None
+    eta, h = pipe.scores(S)
+    (boot,) = kmb_draws(eta, h, cfg, (args.studentized,))
+    return pipe, boot
 
 
 def _write_manifest(path, args, extra: dict):
@@ -283,16 +290,7 @@ def _write_manifest(path, args, extra: dict):
     if "studentized" in args:
         manifest.update(studentized=args.studentized, alpha=args.alpha)
     manifest.update(extra)
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _draws(pipe, S, cfg, args):
-    """The bootstrap of the chosen variant on the scores of S."""
-    eta, h = pipe.scores(S)
-    (boot,) = kmb_draws(eta, h, cfg, (args.studentized,))
-    return boot
+    _write_json(str(path) + ".manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +301,19 @@ def _cmd_simulate(args) -> int:
                   rng=RngSpec(args.seed, "dgp"))
     boot_cfg = _boot_cfg(args)
     sets = ["zeros", "offdiag"] if args.set == "both" else [args.set]
-    reports = []
-    for choice in sets:
-        reports.append(coverage_experiment(
-            dgp, choice, replicates=args.reps, boot_cfg=boot_cfg,
-            truth_reps=args.truth_reps, lasso_cfg=_lasso_from(args),
-            threads=args.threads))
-    write_coverage_csv(args.out, reports)
+    reports = [coverage_experiment(
+        dgp, choice, replicates=args.reps, boot_cfg=boot_cfg,
+        truth_reps=args.truth_reps,
+        lasso_cfg=LassoConfig(lambda_scale=args.lambda_scale),
+        threads=args.threads) for choice in sets]
+    # Tables-style: one row per structure x rho x set x level
+    _write_csv(args.out, ["structure", "rho", "p", "n", "set", "level",
+                          "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"],
+               ([rep.structure, _num(rep.rho), rep.p, rep.n, rep.index_choice]
+                + [_num(x) for x in (level, rep.mean[KMB][level],
+                                     rep.sd[KMB][level], rep.mean[SKMB][level],
+                                     rep.sd[SKMB][level])]
+                for rep in reports for level in DEFAULT_LEVELS))
     _write_manifest(args.out, args, {
         "structure": args.structure, "p": args.p, "n": args.n,
         "rho": args.rho, "reps": args.reps, "truth_reps": args.truth_reps,
@@ -322,27 +326,21 @@ def _cmd_estimate(args) -> int:
     data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups) if args.set else None
     cfg = _boot_cfg(args)
-    pipe = fit_pipeline(data, _lasso_from(args))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in pipe.omega_hat.values:
-            writer.writerow([f"{x:.17g}" for x in row])
+    pipe, boot = _fit_and_draw(args, data, S, cfg if S is not None else None)
     extra = {"n": data.n, "p": data.p,
              "lambdas": [float(x) for x in pipe.fit.lambdas]}
+    _write_csv(args.out, None,
+               ([_num(x) for x in row] for row in pipe.omega_hat.values))
     if S is not None:
-        boot = _draws(pipe, S, cfg, args)
-        q = boot.quantile(1.0 - args.alpha)
         omega_s = pipe.omega_on(S)
         half = boot.half_width(1.0 - args.alpha)
-        with open(args.intervals_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j1", "j2", "omega", "lo", "hi"])
-            for (j1, j2), val, lo, hi in zip(S.pairs.tolist(), omega_s,
-                                             omega_s - half, omega_s + half):
-                writer.writerow([j1, j2, f"{val:.17g}", f"{lo:.17g}",
-                                 f"{hi:.17g}"])
-        extra.update({"bandwidth_used": boot.bandwidth, "quantile": q,
-                      "r": S.r})
+        _write_csv(args.intervals_out, ["j1", "j2", "omega", "lo", "hi"],
+                   ([j1, j2, _num(val), _num(lo), _num(hi)]
+                    for (j1, j2), val, lo, hi in zip(
+                        S.pairs.tolist(), omega_s, omega_s - half,
+                        omega_s + half)))
+        extra.update({"bandwidth_used": boot.bandwidth, "r": S.r,
+                      "quantile": boot.quantile(1.0 - args.alpha)})
     _write_manifest(args.out, args, extra)
     return 0
 
@@ -353,7 +351,7 @@ def _cmd_test(args) -> int:
     if args.zero:
         c = np.zeros(S.r)
     else:
-        _, rows = _read_matrix_csv(args.c_file, expect_header=False)
+        rows = _read_csv(args.c_file)
         c = _numbers(args.c_file, [row[:1] for row in rows])[:, 0]
         if c.shape != (S.r,):
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
@@ -361,18 +359,13 @@ def _cmd_test(args) -> int:
             row = int(np.argmin(np.isfinite(c))) + 1
             raise UserError(f"{args.c_file}: row {row}: c must be finite, "
                             f"got {c[row - 1]}")
-    cfg = _boot_cfg(args)
-    pipe = fit_pipeline(data, _lasso_from(args))
-    boot = _draws(pipe, S, cfg, args)
+    pipe, boot = _fit_and_draw(args, data, S, _boot_cfg(args))
     outcome = test_structure(pipe.omega_on(S), c, boot, args.alpha)
-    payload = {
+    _write_json(args.out, {
         "statistic": outcome.statistic, "quantile": outcome.quantile,
         "p_value": outcome.p_value, "reject": outcome.reject,
         "alpha": args.alpha,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(("REJECT" if outcome.reject else "RETAIN")
           + f" p={outcome.p_value:.6g} stat={outcome.statistic:.6g}"
           + f" q={outcome.quantile:.6g}")
@@ -384,16 +377,11 @@ def _cmd_test(args) -> int:
 def _cmd_recover(args) -> int:
     data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups)
-    cfg = _boot_cfg(args)
-    pipe = fit_pipeline(data, _lasso_from(args))
-    boot = _draws(pipe, S, cfg, args)
+    pipe, boot = _fit_and_draw(args, data, S, _boot_cfg(args))
     selected = recover_support(pipe.omega_on(S), S, boot, args.alpha)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j1", "j2", "omega"])
-        omega = pipe.omega_hat
-        for j1, j2 in selected:
-            writer.writerow([j1, j2, f"{omega[j1 - 1, j2 - 1]:.17g}"])
+    _write_csv(args.out, ["j1", "j2", "omega"],
+               ([j1, j2, _num(pipe.omega_hat[j1 - 1, j2 - 1])]
+                for j1, j2 in selected))
     _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
                                      "r": S.r, "selected": len(selected)})
     return 0
@@ -404,11 +392,16 @@ def _cmd_blocks(args) -> int:
     if not groups:
         raise UserError("blocks needs --group-map labels")
     cfg = _boot_cfg(args)
-    pipe = fit_pipeline(data, _lasso_from(args))
+    if not block_pairs(groups, args.within):
+        raise UserError("no block pair to test: blocks needs two groups, or "
+                        "--within and a group of two or more symbols")
+    pipe, _ = _fit_and_draw(args, data, None, cfg)
     result = block_test_matrix(pipe, groups, cfg, alpha=args.fdr,
                                include_within=args.within,
                                threads=args.threads)
-    result.write_csv(args.out)
+    _write_csv(args.out, ["group1", "group2", "p_value", "rejected"],
+               ([t.group1, t.group2, _num(t.p_value), int(t.rejected)]
+                for t in result.tests))
     _write_manifest(args.out, args, {
         "studentized": True, "fdr": args.fdr, "groups": sorted(groups),
         "rejected": len(result.adjacency),
@@ -508,7 +501,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UserError, PrecbootError, FileNotFoundError) as exc:
+    except (UserError, PrecbootError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

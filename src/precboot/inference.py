@@ -2,7 +2,6 @@
 testing on the estimated precision matrix."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -81,13 +80,19 @@ class BlockTestResult:
         """The rejected block pairs, in test order."""
         return [(t.group1, t.group2) for t in self.tests if t.rejected]
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group1", "group2", "p_value", "rejected"])
-            for t in self.tests:
-                writer.writerow([t.group1, t.group2, f"{t.p_value:.17g}",
-                                 int(t.rejected)])
+
+def block_pairs(groups: dict, include_within: bool) -> List[Tuple[str, str]]:
+    """The block pairs that ``block_test_matrix`` tests, in test order: each
+    pair of labels of ``groups`` in their order, and with
+    ``include_within`` each label of more than one column with itself,
+    after its pairs with the labels that follow it."""
+    labels = list(groups)
+    pairs = []
+    for i, h1 in enumerate(labels):
+        pairs += [(h1, h2) for h2 in labels[i + 1:]]
+        if include_within and len(groups[h1]) > 1:
+            pairs.append((h1, h1))
+    return pairs
 
 
 def block_test_matrix(pipe: PipelineFit, groups: dict,
@@ -101,13 +106,7 @@ def block_test_matrix(pipe: PipelineFit, groups: dict,
     substream, so the pairs can run on ``threads`` threads with the same
     result. The P-values then go through BH selection at level ``alpha``.
     """
-    labels = list(groups.keys())
-    pairs = []
-    for i, h1 in enumerate(labels):
-        for h2 in labels[i + 1:]:
-            pairs.append((h1, h2))
-        if include_within and len(groups[h1]) > 1:
-            pairs.append((h1, h1))
+    pairs = block_pairs(groups, include_within)
 
     def test_one(item):
         idx, (h1, h2) = item

@@ -14,11 +14,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import BootstrapConfig, kmb_draws, max_statistic
-from .core import MIN_N, Dataset, IndexSet, RngSpec, SymMatrix, \
-    center_in_place, index_set_all_offdiag, index_set_from_mask, map_ordered
-from .errors import GenerationError, InsufficientData, InvalidDimension, \
-    InvalidInput, PrecbootError
-from .longrun import PLUG_IN_MIN_N, lag_toeplitz, w_diag as w_diag_fn
+from .core import Dataset, IndexSet, RngSpec, SymMatrix, center_in_place, \
+    index_set_all_offdiag, index_set_from_mask, map_ordered
+from .errors import GenerationError, InvalidDimension, InvalidInput, \
+    PrecbootError
+from .longrun import lag_toeplitz, w_diag as w_diag_fn
 from .nodewise import LassoConfig, fit_batch, node_penalties
 from .pipeline import PipelineFit, assemble
 
@@ -220,17 +220,12 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     ``threads``. A replicate that raises a PrecbootError (generation, the
     data checks, a fit in which no node converged, ``estimate_v``) counts
     as one failure and leaves the rest of its batch unaffected. An n below
-    the limit of a Dataset, or of the plug-in bandwidth when no bandwidth
-    is configured, raises InsufficientData before any draw.
+    the limit of ``BootstrapConfig.check_n`` raises InsufficientData
+    before any draw.
     """
     if replicates < 1 or truth_reps < 1:
         raise InvalidInput("replicates and truth_reps must be >= 1")
-    plug_in = boot_cfg.bandwidth is None
-    min_n = max(MIN_N, PLUG_IN_MIN_N) if plug_in else MIN_N
-    if dgp.n < min_n:
-        raise InsufficientData(
-            f"no replicate can be fitted at n = {dgp.n}: need n >= {min_n}"
-            + (" for the plug-in bandwidth" if plug_in else ""))
+    boot_cfg.check_n(dgp.n)
     t0 = time.perf_counter()
     lasso_cfg = lasso_cfg or LassoConfig()
     S = index_set_for(index_choice, dgp.structure, dgp.p)
@@ -277,21 +272,3 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
         index_choice=index_choice, replicates=replicates,
         truth_reps=truth_reps, mean=mean, sd=sd, failures=failures,
         runtime=time.perf_counter() - t0)
-
-
-def write_coverage_csv(path, reports: Sequence[CoverageReport]):
-    """Tables-style CSV: one row per structure x rho x set x level."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["structure", "rho", "p", "n", "set", "level",
-                         "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"])
-        for rep in reports:
-            for level in DEFAULT_LEVELS:
-                writer.writerow(
-                    [rep.structure, f"{rep.rho:.17g}", rep.p, rep.n,
-                     rep.index_choice]
-                    + [f"{x:.17g}" for x in (
-                        level, rep.mean[KMB][level], rep.sd[KMB][level],
-                        rep.mean[SKMB][level], rep.sd[SKMB][level])])

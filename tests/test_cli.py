@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from precboot import RngSpec, fit_pipeline
-from precboot.cli import ReturnsSpec, ingest_returns, main, parse_index_set
+from precboot.cli import ingest_returns, main, parse_index_set
 from precboot.core import Dataset
 from precboot.errors import InvalidPrice, MissingValue
 from precboot.simulate import DgpSpec, generate
@@ -41,8 +41,7 @@ class TestIngestReturns:
         path = self.write_prices(
             tmp_path, ["AAA", "BBB"],
             [[100, 50], [110, 55], [100, 60], [90, 66], [95, 70]])
-        data, _, syms = ingest_returns(
-            ReturnsSpec(str(path), standardize=False))
+        data, _, syms = ingest_returns(str(path), standardize=False)
         assert syms == ["AAA", "BBB"]
         assert data.values[0, 0] == pytest.approx(math.log(1.1), abs=1e-12)
         assert data.n == 4
@@ -51,7 +50,7 @@ class TestIngestReturns:
         rng = np.random.default_rng(0)
         prices = np.exp(np.cumsum(rng.standard_normal((30, 3)) * 0.01, axis=0))
         path = self.write_prices(tmp_path, ["A", "B", "C"], prices.tolist())
-        data, _, _ = ingest_returns(ReturnsSpec(str(path)))
+        data, _, _ = ingest_returns(str(path))
         np.testing.assert_allclose(data.values.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(data.values.std(axis=0, ddof=1), 1.0,
                                    rtol=1e-12)
@@ -63,7 +62,7 @@ class TestIngestReturns:
             [[1, 1, 2], [e, 2, 1], [e * e, 1, 2], [e ** 3, 2, 1],
              [e ** 4, 3, 3]])
         with pytest.warns(UserWarning, match="constant"):
-            data, _, syms = ingest_returns(ReturnsSpec(str(path)))
+            data, _, syms = ingest_returns(str(path))
         assert syms == ["X", "Y"]
         assert data.p == 2
 
@@ -71,39 +70,39 @@ class TestIngestReturns:
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], [0, 2], [2, 3], [3, 4]])
         with pytest.raises(InvalidPrice):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_price_names_row_and_symbol(self, tmp_path, cell):
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], [2, 2], [3, cell], [3, 4]])
         with pytest.raises(InvalidPrice, match="price at row 4, symbol B$"):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
 
     def test_first_bad_cell_reported(self, tmp_path):
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], [2, "nan"], [0, 2], [3, 4]])
         with pytest.raises(InvalidPrice,
                            match="^non-finite price at row 3, symbol B$"):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], [-2, 2], [1, "x"], [3, 4]])
         with pytest.raises(InvalidPrice,
                            match="^non-positive price at row 3, symbol A$"):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
 
     def test_one_cell_row_is_not_broadcast(self, tmp_path):
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], [2], [2, 3], [3, 4]])
         with pytest.raises(MissingValue,
                            match="^row 3 has 1 cells, expected 2$"):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
 
     def test_missing_cell(self, tmp_path):
         path = self.write_prices(tmp_path, ["A", "B"],
                                  [[1, 1], ["", 2], [2, 3], [3, 4]])
         with pytest.raises(MissingValue):
-            ingest_returns(ReturnsSpec(str(path)))
+            ingest_returns(str(path))
 
     def test_na_symbols_dropped(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -112,8 +111,8 @@ class TestIngestReturns:
         gmap = tmp_path / "groups.csv"
         gmap.write_text("A,tech\nB,NA\nC,tech\n")
         with pytest.warns(UserWarning, match="without a group"):
-            data, groups, syms = ingest_returns(
-                ReturnsSpec(str(path), group_map=str(gmap)))
+            data, groups, syms = ingest_returns(str(path),
+                                                group_map=str(gmap))
         assert syms == ["A", "C"]
         assert groups == {"tech": [1, 2]}
 
@@ -182,6 +181,8 @@ class TestSimulateCommand:
                         "50", "--rho", "0", "--reps", "2", "--truth-reps",
                         "4", "--boot-M", "10", "--seed", "3", "--out", out])
         assert code == 0
+        assert out.read_text().splitlines()[0] == (
+            "structure,rho,p,n,set,level,kmb_mean,kmb_sd,skmb_mean,skmb_sd")
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 6  # 3 levels x 2 index sets
         assert {r["set"] for r in rows} == {"zeros", "offdiag"}
@@ -314,8 +315,8 @@ class TestRecoverCommand:
 
 
 class TestInputsCheckedBeforeFit:
-    """Every command checks its set, groups, target and bootstrap settings
-    before it fits, so a bad input costs no fit and writes no file."""
+    """Every command checks its set, groups, target, bootstrap settings and
+    n before it fits, so a bad input costs no fit and writes no file."""
 
     @pytest.fixture(autouse=True)
     def no_fit(self, monkeypatch):
@@ -341,6 +342,13 @@ class TestInputsCheckedBeforeFit:
         ["recover", "--set", "offdiag", "--seed", "-1"],
         ["recover", "--set", "offdiag", "--threads", "-3"],
         ["estimate", "--threads", "0"],
+        # n = 6 (7 prices) is below the plug-in bandwidth's 8
+        ["estimate", "--set", "offdiag", "--data", "short.csv"],
+        ["test", "--set", "offdiag", "--zero", "--data", "short.csv"],
+        ["recover", "--set", "offdiag", "--data", "short.csv"],
+        ["blocks", "--prices", "short-prices.csv", "--group-map",
+         "groups.csv"],
+        ["blocks", "--prices", "prices.csv", "--group-map", "one-group.csv"],
     ], ids=["blocks-no-group-map", "recover-unknown-set",
             "recover-bad-bandwidth", "test-no-target", "test-both-targets",
             "test-short-c-file", "test-nan-c-file", "test-inf-c-file",
@@ -348,9 +356,16 @@ class TestInputsCheckedBeforeFit:
             "estimate-bad-bandwidth", "recover-pair-above-p",
             "recover-negative-band", "recover-negative-lambda-scale",
             "estimate-nan-lambda-scale", "recover-negative-seed",
-            "recover-negative-threads", "estimate-zero-threads"])
-    def test_exits_1_without_fitting(self, tmp_path, data_csv, argv):
-        path, _ = data_csv
+            "recover-negative-threads", "estimate-zero-threads",
+            "estimate-n6-auto", "test-n6-auto", "recover-n6-auto",
+            "blocks-n6-auto", "blocks-one-group"])
+    def test_exits_1_without_fitting(self, tmp_path, data_csv, capsys, argv):
+        path, values = data_csv
+        write_data_csv(tmp_path / "short.csv", values[:6])
+        prices, _ = two_group_prices(tmp_path)
+        (tmp_path / "short-prices.csv").write_text(
+            "\n".join(prices.read_text().splitlines()[:8]) + "\n")
+        (tmp_path / "one-group.csv").write_text("A,g\nB,g\nC,g\nD,g\n")
         (tmp_path / "c.csv").write_text("0\n")  # 1 value, |offdiag| = 56
         for bad in ("nan", "inf"):  # 56 values, one of them not finite
             (tmp_path / f"c-{bad}.csv").write_text("0\n" * 20 + f"{bad}\n"
@@ -359,9 +374,14 @@ class TestInputsCheckedBeforeFit:
         inputs = sorted(f.name for f in tmp_path.iterdir())
         argv = [tmp_path / a if a in inputs else a for a in argv]
         out = tmp_path / "out.csv"
-        assert run_cli(argv + ["--data", path, "--boot-M", "10",
-                               "--out", out]) == 1
+        # a --data in argv comes later and overrides this one
+        assert run_cli([argv[0], "--data", path, *argv[1:], "--boot-M", "10",
+                        "--out", out]) == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == inputs
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if any("short" in str(a) for a in argv):
+            assert "at n = 6: need n >= 8 for the plug-in bandwidth" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "--set", "offdiag", "--alpha", "1.5"], "--alpha"),
@@ -475,6 +495,35 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert run_cli(["estimate", "--data", tmp_path / "nope.csv",
                         "--out", tmp_path / "o.csv"]) == 1
+
+    def test_output_path_is_a_directory(self, tmp_path, data_csv, capsys):
+        assert run_cli(["recover", "--data", data_csv[0], "--set", "offdiag",
+                        "--boot-M", "10", "--out", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate"],
+        ["estimate", "--set", "offdiag", "--bandwidth", "2"],
+        ["test", "--set", "offdiag", "--zero", "--bandwidth", "2"],
+        ["recover", "--set", "offdiag", "--bandwidth", "2"],
+        ["blocks", "--bandwidth", "2"],
+    ], ids=["estimate-no-set", "estimate", "test", "recover", "blocks"])
+    def test_n_below_plug_in_limit_runs_without_plug_in(self, tmp_path,
+                                                        data_csv, argv):
+        # n = 6: no draws, or draws at a fixed bandwidth, need only n >= 4
+        if argv[0] == "blocks":
+            prices, gmap = two_group_prices(tmp_path)
+            prices.write_text(
+                "\n".join(prices.read_text().splitlines()[:8]) + "\n")
+            source = ["--prices", prices, "--group-map", gmap]
+        else:
+            write_data_csv(tmp_path / "short.csv", data_csv[1][:6])
+            source = ["--data", tmp_path / "short.csv"]
+        if argv[0] == "estimate":
+            source += ["--intervals-out", tmp_path / "ints.csv"]
+        out = tmp_path / "out"
+        assert run_cli(argv + source + ["--boot-M", "10", "--out", out]) == 0
+        assert out.exists()
 
     def test_bad_flag(self, tmp_path):
         assert run_cli(["simulate", "--structure", "Z", "--p", "5", "--n",

@@ -211,3 +211,48 @@ class TestScoreReaderLayering:
                    for name in ("longrun", "bootstrap")}
         assert "precision" not in imports["bootstrap"]
         assert imports["longrun"] <= {"errors"}
+
+
+FILE_MODULES = {"csv", "json"}
+
+
+def file_access(source: str):
+    """How a module reaches files: ``import csv`` or ``import json`` (also
+    ``from csv import ...``), and ``open`` for a call of ``open`` or of an
+    ``open`` method."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(f"import {alias.name}" for alias in node.names
+                         if alias.name.split(".")[0] in FILE_MODULES)
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and node.module.split(".")[0] in FILE_MODULES:
+            found.add(f"import {node.module}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open" \
+                    or isinstance(func, ast.Attribute) and func.attr == "open":
+                found.add("open")
+    return found
+
+
+class TestFileAccessLayering:
+    # the library returns objects and cli alone reads and writes files, so
+    # the formats of every input and output have one home
+    def test_checker_finds_imports_and_open_calls(self):
+        source = ("import csv, numpy as np\n"
+                  "from json import dump\n"
+                  "from . import core\n"
+                  "def f(path):\n"
+                  "    with open(path) as fh:\n"
+                  "        return fh.read()\n")
+        assert file_access(source) == {"import csv", "import json", "open"}
+        assert file_access("def g(p):\n    return p.open('w')\n") == {"open"}
+        assert file_access("import csvkit\nfrom .json import x\n"
+                           "opened = len([])\n") == set()
+
+    def test_only_cli_reaches_files(self):
+        found = {path.name: file_access(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+        assert found.pop("cli.py") == {"import csv", "import json", "open"}
+        assert {name: f for name, f in found.items() if f} == {}

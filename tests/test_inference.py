@@ -185,17 +185,6 @@ class TestBlockTestMatrix:
         assert len(serial.tests) == 15
         assert pooled == serial
 
-    def test_csv_format(self, tmp_path):
-        pipe = block_fit(4)
-        groups = {"g1": [1, 2, 3, 4, 5], "g2": [6, 7, 8, 9, 10]}
-        cfg = BootstrapConfig(rng=RngSpec(2, "b"), M=10, bandwidth=1.0)
-        result = block_test_matrix(pipe, groups, cfg)
-        out = tmp_path / "edges.csv"
-        result.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "group1,group2,p_value,rejected"
-        assert len(lines) == 2
-
     def test_block_diagonal_truth_recovered(self):
         # two independent 5-blocks: within-block pairs should be rejected and
         # the cross pair retained in >= 90% of replicates

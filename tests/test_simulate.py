@@ -11,7 +11,7 @@ from precboot.longrun import KernelSpec, andrews_bandwidth, w_diag
 from precboot.nodewise import LassoConfig
 from precboot.pipeline import assemble, fit_pipeline
 from precboot.simulate import DEFAULT_LEVELS, DgpSpec, _truth_stats, \
-    index_set_for, write_coverage_csv
+    index_set_for
 
 
 class TestBuildSigma:
@@ -295,16 +295,6 @@ class TestCoverageExperiment:
         for got, want in zip(draws, clean_draws[:1] + clean_draws[2:]):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
-
-    def test_csv_layout(self, tmp_path):
-        dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
-        rep = coverage_experiment(dgp, "zeros", replicates=2,
-                                  boot_cfg=self.small_cfg(), truth_reps=5)
-        out = tmp_path / "cov.csv"
-        write_coverage_csv(out, [rep])
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("structure,rho,p,n,set,level,kmb_mean")
-        assert len(lines) == 1 + 3  # header + one row per level
 
 
 class TestStudentizedScaleTrend:
