@@ -3,9 +3,10 @@ harness and report emission. The library returns objects; this module alone
 reads and writes files.
 
 Every run writes its primary output as CSV (or JSON for single test
-outcomes) plus a ``<out>.manifest.json`` capturing seed, penalties,
-bandwidth, kernel and draw count, enough to reproduce the run exactly.
-Exit codes: 0 ok, 1 user error, 2 internal error.
+outcomes) plus a ``<out>.manifest.json`` holding every parsed argument of
+the command and what the run found (the bandwidth used, |S|, failures),
+enough to reproduce the run exactly. Output paths are checked before any
+work. Exit codes: 0 ok, 1 user error, 2 internal error.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from typing import Dict, List, Optional
@@ -275,22 +277,28 @@ def _fit_and_draw(args, data, S, cfg):
     return pipe, boot
 
 
-def _write_manifest(path, args, extra: dict):
-    manifest = {
-        "tool": "precboot",
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "boot_M": args.boot_M,
-        "kernel": args.kernel,
-        "bandwidth": args.bandwidth,
-        "lambda_scale": args.lambda_scale,
-        "threads": args.threads,
-    }
-    if "studentized" in args:
-        manifest.update(studentized=args.studentized, alpha=args.alpha)
-    manifest.update(extra)
-    _write_json(str(path) + ".manifest.json", manifest)
+def _check_outputs(args):
+    """Check that every file the command writes can be created, before any
+    work: --out, its manifest and, for ``estimate --set``, the intervals,
+    whose --intervals-out defaults to ``<out>.intervals.csv``."""
+    paths = [args.out, args.out + ".manifest.json"]
+    if args.command == "estimate" and args.set:
+        args.intervals_out = args.intervals_out or args.out + ".intervals.csv"
+        paths.append(args.intervals_out)
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise UserError(f"{path}: output path is a directory")
+        if not os.path.isdir(folder):
+            raise UserError(f"{path}: no directory {folder}")
+
+
+def _write_manifest(args, **findings):
+    """``<out>.manifest.json``: every parsed argument, then what the run
+    found."""
+    _write_json(args.out + ".manifest.json",
+                {"tool": "precboot", "version": __version__, **vars(args),
+                 **findings})
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +317,14 @@ def _cmd_simulate(args) -> int:
     # Tables-style: one row per structure x rho x set x level
     _write_csv(args.out, ["structure", "rho", "p", "n", "set", "level",
                           "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"],
-               ([rep.structure, _num(rep.rho), rep.p, rep.n, rep.index_choice]
+               ([dgp.structure, _num(dgp.rho), dgp.p, dgp.n, choice]
                 + [_num(x) for x in (level, rep.mean[KMB][level],
                                      rep.sd[KMB][level], rep.mean[SKMB][level],
                                      rep.sd[SKMB][level])]
-                for rep in reports for level in DEFAULT_LEVELS))
-    _write_manifest(args.out, args, {
-        "structure": args.structure, "p": args.p, "n": args.n,
-        "rho": args.rho, "reps": args.reps, "truth_reps": args.truth_reps,
-        "sets": sets, "failures": sum(r.failures for r in reports),
-    })
+                for choice, rep in zip(sets, reports)
+                for level in DEFAULT_LEVELS))
+    _write_manifest(args, sets=sets,
+                    failures=sum(r.failures for r in reports))
     return 0
 
 
@@ -327,8 +333,8 @@ def _cmd_estimate(args) -> int:
     S = parse_index_set(args.set, data.p, groups) if args.set else None
     cfg = _boot_cfg(args)
     pipe, boot = _fit_and_draw(args, data, S, cfg if S is not None else None)
-    extra = {"n": data.n, "p": data.p,
-             "lambdas": [float(x) for x in pipe.fit.lambdas]}
+    findings = {"n": data.n, "p": data.p,
+                "lambdas": [float(x) for x in pipe.fit.lambdas]}
     _write_csv(args.out, None,
                ([_num(x) for x in row] for row in pipe.omega_hat.values))
     if S is not None:
@@ -339,9 +345,9 @@ def _cmd_estimate(args) -> int:
                     for (j1, j2), val, lo, hi in zip(
                         S.pairs.tolist(), omega_s, omega_s - half,
                         omega_s + half)))
-        extra.update({"bandwidth_used": boot.bandwidth, "r": S.r,
-                      "quantile": boot.quantile(1.0 - args.alpha)})
-    _write_manifest(args.out, args, extra)
+        findings.update(bandwidth_used=boot.bandwidth, r=S.r,
+                        quantile=boot.quantile(1.0 - args.alpha))
+    _write_manifest(args, **findings)
     return 0
 
 
@@ -369,8 +375,7 @@ def _cmd_test(args) -> int:
     print(("REJECT" if outcome.reject else "RETAIN")
           + f" p={outcome.p_value:.6g} stat={outcome.statistic:.6g}"
           + f" q={outcome.quantile:.6g}")
-    _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
-                                     "r": S.r})
+    _write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r)
     return 0
 
 
@@ -382,8 +387,8 @@ def _cmd_recover(args) -> int:
     _write_csv(args.out, ["j1", "j2", "omega"],
                ([j1, j2, _num(pipe.omega_hat[j1 - 1, j2 - 1])]
                 for j1, j2 in selected))
-    _write_manifest(args.out, args, {"bandwidth_used": boot.bandwidth,
-                                     "r": S.r, "selected": len(selected)})
+    _write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r,
+                    selected=len(selected))
     return 0
 
 
@@ -402,10 +407,8 @@ def _cmd_blocks(args) -> int:
     _write_csv(args.out, ["group1", "group2", "p_value", "rejected"],
                ([t.group1, t.group2, _num(t.p_value), int(t.rejected)]
                 for t in result.tests))
-    _write_manifest(args.out, args, {
-        "studentized": True, "fdr": args.fdr, "groups": sorted(groups),
-        "rejected": len(result.adjacency),
-    })
+    _write_manifest(args, studentized=True, groups=sorted(groups),
+                    rejected=len(result.adjacency))
     return 0
 
 
@@ -457,7 +460,7 @@ def build_parser() -> _Parser:
     p_est.add_argument("--set", nargs="+", default=None,
                        help="index-set spec for confidence intervals")
     p_est.add_argument("--intervals-out", dest="intervals_out",
-                       default="intervals.csv")
+                       help="intervals CSV (default: <out>.intervals.csv)")
 
     p_test = sub.add_parser("test")
     _add_common(p_test)
@@ -500,6 +503,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except (UserError, PrecbootError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

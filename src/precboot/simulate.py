@@ -7,7 +7,6 @@ block-diagonal (B) support.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -122,17 +121,9 @@ def generate(dgp: DgpSpec, *key: int) -> Dataset:
 
 @dataclass
 class CoverageReport:
-    structure: str
-    rho: float
-    p: int
-    n: int
-    index_choice: str
-    replicates: int
-    truth_reps: int
     mean: Dict[str, Dict[float, float]]
     sd: Dict[str, Dict[float, float]]
     failures: int
-    runtime: float
 
 
 def _truth_stats(pipe: PipelineFit, S: IndexSet, omega_true_s: np.ndarray,
@@ -226,7 +217,6 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
     if replicates < 1 or truth_reps < 1:
         raise InvalidInput("replicates and truth_reps must be >= 1")
     boot_cfg.check_n(dgp.n)
-    t0 = time.perf_counter()
     lasso_cfg = lasso_cfg or LassoConfig()
     S = index_set_for(index_choice, dgp.structure, dgp.p)
     _, omega = build_sigma(dgp.structure, dgp.p)
@@ -267,8 +257,4 @@ def coverage_experiment(dgp: DgpSpec, index_choice: str,
             vals = np.array([r[(method, level)] for r in results])
             mean[method][level] = float(vals.mean())
             sd[method][level] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return CoverageReport(
-        structure=dgp.structure, rho=dgp.rho, p=dgp.p, n=dgp.n,
-        index_choice=index_choice, replicates=replicates,
-        truth_reps=truth_reps, mean=mean, sd=sd, failures=failures,
-        runtime=time.perf_counter() - t0)
+    return CoverageReport(mean=mean, sd=sd, failures=failures)

@@ -6,6 +6,7 @@ PRECBOOT_LONG=1 is set in the environment.
 """
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -49,12 +50,14 @@ class TestCriterion1CoverageIid:
     # test (SKMB 0.867 < 0.90, criterion 8 SKMB rejection 0.120 > 0.09), so
     # the fix waits on the paper's definition of the scores and of W.
     def test_desk_scale_coverage(self):
+        t0 = time.perf_counter()
         rep = coverage_run(rho=0.0, seed=101)
         kmb = rep.mean["KMB"][0.95]
         skmb = rep.mean["SKMB"][0.95]
         ok = 0.93 <= kmb <= 1.00 and 0.90 <= skmb <= 0.99
         print(f"\n[criterion 1] KMB@0.95={kmb:.4f} SKMB@0.95={skmb:.4f} "
-              f"failures={rep.failures} runtime={rep.runtime:.0f}s "
+              f"failures={rep.failures} "
+              f"runtime={time.perf_counter() - t0:.0f}s "
               f"{'PASS' if ok else 'FAIL'}")
         assert 0.93 <= kmb <= 1.00
         assert 0.90 <= skmb <= 0.99
@@ -63,11 +66,13 @@ class TestCriterion1CoverageIid:
 
 class TestCriterion2CoverageDependent:
     def test_desk_scale_coverage_rho_03(self):
+        t0 = time.perf_counter()
         rep = coverage_run(rho=0.3, seed=202)
         kmb = rep.mean["KMB"][0.95]
         ok = 0.92 <= kmb <= 1.00
         print(f"\n[criterion 2] KMB@0.95={kmb:.4f} failures={rep.failures} "
-              f"runtime={rep.runtime:.0f}s {'PASS' if ok else 'FAIL'}")
+              f"runtime={time.perf_counter() - t0:.0f}s "
+              f"{'PASS' if ok else 'FAIL'}")
         assert 0.92 <= kmb <= 1.00
         assert rep.failures == 0
 
@@ -276,7 +281,8 @@ class TestCriterion9Determinism:
             import json
             manifest = json.loads(
                 (tmp_path / f"cov-{threads}.csv.manifest.json").read_text())
-            del manifest["threads"]  # recorded per run by design
+            # recorded per run by design: the thread count and output path
+            del manifest["threads"], manifest["out"]
             blobs.append((out.read_bytes(), manifest))
         same_csv = blobs[0][0] == blobs[1][0]
         print(f"\n[criterion 9] byte-identical CSV across 1/8 threads: "

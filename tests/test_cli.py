@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from precboot import RngSpec, fit_pipeline
-from precboot.cli import ingest_returns, main, parse_index_set
+from precboot.cli import build_parser, ingest_returns, main, \
+    parse_index_set
 from precboot.core import Dataset
 from precboot.errors import InvalidPrice, MissingValue
 from precboot.simulate import DgpSpec, generate
@@ -220,6 +222,24 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("out", [
+        "a-dir", "no-dir/cov.csv", "m.csv",
+    ], ids=["out-is-a-directory", "no-folder", "manifest-is-a-directory"])
+    def test_unwritable_out_exits_1_before_running(
+            self, tmp_path, monkeypatch, capsys, out):
+        def coverage_experiment(*args, **kwargs):
+            raise AssertionError("coverage_experiment called")
+        monkeypatch.setattr("precboot.cli.coverage_experiment",
+                            coverage_experiment)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "m.csv.manifest.json").mkdir()
+        assert run_cli(["simulate", "--structure", "A", "--p", "5", "--n",
+                        "40", "--reps", "2", "--out", out]) == 1
+        assert "directory" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.rglob("*")) == \
+            ["a-dir", "m.csv.manifest.json"]
+
     @pytest.mark.parametrize("n, bandwidth, limit", [
         ("3", "auto", "n >= 8 for the plug-in bandwidth"),
         ("0", "auto", "n >= 8 for the plug-in bandwidth"),
@@ -271,6 +291,21 @@ class TestEstimateCommand:
         for row in rows:
             assert float(row["lo"]) <= float(row["omega"]) <= float(row["hi"])
 
+    def test_intervals_default_next_to_out(self, tmp_path, data_csv,
+                                           monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "omega.csv"
+        assert run_cli(["estimate", "--data", data_csv[0], "--out", out,
+                        "--set", "offdiag", "--boot-M", "20"]) == 0
+        assert list(cwd.iterdir()) == []
+        ints = tmp_path / "omega.csv.intervals.csv"
+        assert len(ints.read_text().splitlines()) == 1 + 8 * 7
+        manifest = json.loads((tmp_path / "omega.csv.manifest.json")
+                              .read_text())
+        assert manifest["intervals_out"] == str(ints)
+
 
 class TestTestCommand:
     def test_zero_null(self, tmp_path, data_csv):
@@ -315,8 +350,9 @@ class TestRecoverCommand:
 
 
 class TestInputsCheckedBeforeFit:
-    """Every command checks its set, groups, target, bootstrap settings and
-    n before it fits, so a bad input costs no fit and writes no file."""
+    """Every command checks its output paths, set, groups, target,
+    bootstrap settings and n before it fits, so a bad input costs no fit and
+    writes no file."""
 
     @pytest.fixture(autouse=True)
     def no_fit(self, monkeypatch):
@@ -349,6 +385,14 @@ class TestInputsCheckedBeforeFit:
         ["blocks", "--prices", "short-prices.csv", "--group-map",
          "groups.csv"],
         ["blocks", "--prices", "prices.csv", "--group-map", "one-group.csv"],
+        # output paths: a directory, or in a folder that does not exist
+        ["estimate", "--set", "offdiag", "--intervals-out", "a-dir"],
+        ["estimate", "--set", "offdiag", "--intervals-out", "no-dir/i.csv"],
+        ["estimate", "--out", "no-dir/omega.csv"],
+        ["recover", "--set", "offdiag", "--out", "a-dir"],
+        ["test", "--set", "offdiag", "--zero", "--out", "no-dir/t.json"],
+        ["blocks", "--prices", "prices.csv", "--group-map", "groups.csv",
+         "--out", "m.csv"],
     ], ids=["blocks-no-group-map", "recover-unknown-set",
             "recover-bad-bandwidth", "test-no-target", "test-both-targets",
             "test-short-c-file", "test-nan-c-file", "test-inf-c-file",
@@ -358,9 +402,17 @@ class TestInputsCheckedBeforeFit:
             "estimate-nan-lambda-scale", "recover-negative-seed",
             "recover-negative-threads", "estimate-zero-threads",
             "estimate-n6-auto", "test-n6-auto", "recover-n6-auto",
-            "blocks-n6-auto", "blocks-one-group"])
-    def test_exits_1_without_fitting(self, tmp_path, data_csv, capsys, argv):
+            "blocks-n6-auto", "blocks-one-group",
+            "estimate-intervals-out-is-a-directory",
+            "estimate-intervals-out-no-folder", "estimate-out-no-folder",
+            "recover-out-is-a-directory", "test-out-no-folder",
+            "blocks-manifest-is-a-directory"])
+    def test_exits_1_without_fitting(self, tmp_path, data_csv, capsys,
+                                     monkeypatch, argv):
         path, values = data_csv
+        monkeypatch.chdir(tmp_path)  # relative output paths land here
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "m.csv.manifest.json").mkdir()
         write_data_csv(tmp_path / "short.csv", values[:6])
         prices, _ = two_group_prices(tmp_path)
         (tmp_path / "short-prices.csv").write_text(
@@ -372,16 +424,19 @@ class TestInputsCheckedBeforeFit:
                                                    + "0\n" * 35)
         (tmp_path / "pairs.csv").write_text("1,2\n1,9\n")  # p = 8
         inputs = sorted(f.name for f in tmp_path.iterdir())
+        before = sorted(tmp_path.rglob("*"))
         argv = [tmp_path / a if a in inputs else a for a in argv]
-        out = tmp_path / "out.csv"
+        out = [] if "--out" in argv else ["--out", tmp_path / "out.csv"]
         # a --data in argv comes later and overrides this one
         assert run_cli([argv[0], "--data", path, *argv[1:], "--boot-M", "10",
-                        "--out", out]) == 1
-        assert sorted(f.name for f in tmp_path.iterdir()) == inputs
+                        *out]) == 1
+        assert sorted(tmp_path.rglob("*")) == before
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         if any("short" in str(a) for a in argv):
             assert "at n = 6: need n >= 8 for the plug-in bandwidth" in err
+        if "--out" in argv or "--intervals-out" in argv:
+            assert "directory" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "--set", "offdiag", "--alpha", "1.5"], "--alpha"),
@@ -470,9 +525,41 @@ class TestBlocksCommand:
             manifest = json.loads(
                 (tmp_path / f"adj{threads}.csv.manifest.json").read_text())
             assert manifest.pop("threads") == threads
+            assert manifest.pop("out") == str(out)
             outs.append((out.read_bytes(), manifest))
         assert len(outs[0][0].splitlines()) == 1 + 6 + 4  # cross + within
         assert outs[0] == outs[1]
+
+
+class TestManifest:
+    """A manifest is the parsed command plus what the run found: every
+    parsed argument appears in it with its parsed value, so no finding
+    overwrites an argument."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--structure", "A", "--p", "5", "--n", "40", "--reps",
+         "2", "--truth-reps", "4", "--set", "zeros", "--out", "cov.csv"],
+        # an explicit --intervals-out: its default is filled in from --out
+        ["estimate", "--data", "data.csv", "--set", "band-outside", "1",
+         "--studentized", "--intervals-out", "ints.csv", "--out", "o.csv"],
+        ["test", "--data", "data.csv", "--set", "offdiag", "--zero",
+         "--alpha", "0.1", "--out", "t.json"],
+        ["recover", "--data", "data.csv", "--set", "offdiag", "--kernel",
+         "bartlett", "--lambda-scale", "0.7", "--out", "edges.csv"],
+        ["blocks", "--prices", "prices.csv", "--group-map", "groups.csv",
+         "--within", "--fdr", "0.2", "--out", "adj.csv"],
+    ], ids=["simulate", "estimate", "test", "recover", "blocks"])
+    def test_every_parsed_argument_recorded(self, tmp_path, data_csv,
+                                            monkeypatch, capsys, argv):
+        two_group_prices(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = argv + ["--boot-M", "10", "--seed", "3"]
+        assert main(argv) == 0
+        parsed = vars(build_parser().parse_args(argv))
+        out = parsed["out"]
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert {k: manifest.get(k, "<missing>") for k in parsed} == parsed
+        assert manifest["tool"] == "precboot"
 
 
 class TestExitCodes:
@@ -497,9 +584,12 @@ class TestExitCodes:
                         "--out", tmp_path / "o.csv"]) == 1
 
     def test_output_path_is_a_directory(self, tmp_path, data_csv, capsys):
+        before = sorted(tmp_path.rglob("*"))
         assert run_cli(["recover", "--data", data_csv[0], "--set", "offdiag",
                         "--boot-M", "10", "--out", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not Path(str(tmp_path) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["estimate"],
@@ -519,8 +609,6 @@ class TestExitCodes:
         else:
             write_data_csv(tmp_path / "short.csv", data_csv[1][:6])
             source = ["--data", tmp_path / "short.csv"]
-        if argv[0] == "estimate":
-            source += ["--intervals-out", tmp_path / "ints.csv"]
         out = tmp_path / "out"
         assert run_cli(argv + source + ["--boot-M", "10", "--out", out]) == 0
         assert out.exists()

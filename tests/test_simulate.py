@@ -187,7 +187,6 @@ class TestCoverageExperiment:
         dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
         rep = coverage_experiment(dgp, "offdiag", replicates=4,
                                   boot_cfg=self.small_cfg(), truth_reps=10)
-        assert rep.replicates == 4 and rep.truth_reps == 10
         assert rep.failures == 0
         for method in ("KMB", "SKMB"):
             for level in DEFAULT_LEVELS:
