@@ -20,6 +20,14 @@ change of the bandwidth moves them a little.
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
 
+The draw step's working set is one formed score block, one SCORE_BLOCK x
+DRAW_CHUNK projection buffer that each product writes into (the r < n
+route needs none: its draws are the projections), one tile of
+``_TILE_ROWS`` rows in which a projection is scaled and reduced to its
+column max, the draws themselves and the r-vectors. Tiling changes no bit:
+abs, scale and max are elementwise or exact, and every product keeps its
+(score block, draw chunk) shape, on which the BLAS result depends.
+
 A ``BootstrapResult`` turns the draws into answers. It carries n and the
 r-vector ``scale`` each coordinate was divided by (ones for a plain run,
 sqrt(w_diag) for a studentized one), so the region's half-widths, the test
@@ -40,6 +48,9 @@ from .longrun import PLUG_IN_MIN_N, KernelSpec, andrews_bandwidth, \
     check_bandwidth, kernel_eval, lag_toeplitz, w_diag as w_diag_fn
 
 DRAW_CHUNK = 256
+# rows of a projection scaled and reduced at a time, so the scaled copy
+# stays in cache
+_TILE_ROWS = 64
 
 
 @dataclass
@@ -196,23 +207,33 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
              for m in starts]
     stats = np.zeros((len(scales), cfg.M))
-    # |projections| and their scaled copies go to two reused buffers
-    size = min(r, longrun.SCORE_BLOCK) * min(cfg.M, DRAW_CHUNK)
-    mag_buf, scaled_buf = np.empty(size), np.empty(size)
+    width = min(cfg.M, DRAW_CHUNK)
+    # the one projection buffer (r >= n: on the r < n route the draws are
+    # already the projections), and one tile of scaled rows
+    proj_buf = np.empty(min(r, longrun.SCORE_BLOCK) * width) if r >= n \
+        else None
+    tile_buf = np.empty(min(r, _TILE_ROWS) * width)
     for start in range(0, r, longrun.SCORE_BLOCK):
         stop = min(start + longrun.SCORE_BLOCK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
-            shape = (stop - start, g.shape[1])
-            mag = mag_buf[:shape[0] * shape[1]].reshape(shape)
-            scaled = scaled_buf[:mag.size].reshape(shape)
-            # on the r < n route the draws are already the r projections;
-            # |s x| == s |x| for s > 0, so one abs serves every scale
-            np.abs(np.matmul(cols_t, g, out=mag) if r >= n
-                   else g[start:stop], out=mag)
-            for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
-                np.multiply(scale[start:stop, None], mag, out=scaled)
-                np.maximum(best, scaled.max(axis=0), out=best)
+            if r >= n:
+                shape = (stop - start, g.shape[1])
+                proj = np.matmul(cols_t, g, out=proj_buf[:shape[0] * shape[1]]
+                                 .reshape(shape))
+            else:
+                proj = g[start:stop]
+            for lo in range(start, stop, _TILE_ROWS):
+                hi = min(lo + _TILE_ROWS, stop)
+                # abs in place: each projection, and on the r < n route
+                # each row of the draws, is read by this tile alone;
+                # |s x| == s |x| for s > 0, so one abs serves every scale
+                mag = np.abs(proj[lo - start:hi - start],
+                             out=proj[lo - start:hi - start])
+                tile = tile_buf[:mag.size].reshape(mag.shape)
+                for best, scale in zip(stats[:, m:m + g.shape[1]], scales):
+                    np.multiply(scale[lo:hi, None], mag, out=tile)
+                    np.maximum(best, tile.max(axis=0), out=best)
         del cols_t  # release this block before forming the next
     stats.sort(axis=1)
     return [BootstrapResult(stats=row, bandwidth=float(s_n), n=n,

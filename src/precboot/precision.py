@@ -7,10 +7,13 @@ rescaling.
 
 The residual-product scores of an index set are never held whole. Readers
 take columns, ``eta[:, cols]``, and each read forms just those columns from
-the residuals; ``LazyEta.gram_inputs`` hands out the residuals, the mask
-of the variables the set touches and its pairs as columns of the masked
-residuals instead, and copies nothing. How and when each is read is
-decided by the readers (``longrun``, ``bootstrap``).
+the residuals: it gathers the first residual factor as the n x |cols|
+result and multiplies the second into it ``_PIECE_COLS`` columns at a time,
+so a read holds its result and one n x ``_PIECE_COLS`` piece, with the
+bits of the whole product. ``LazyEta.gram_inputs`` hands out the
+residuals, the mask of the variables the set touches and its pairs as
+columns of the masked residuals instead, and copies nothing. How and when
+each is read is decided by the readers (``longrun``, ``bootstrap``).
 """
 from __future__ import annotations
 
@@ -19,6 +22,9 @@ import numpy as np
 from .core import IndexSet, SymMatrix
 from .errors import DegenerateResiduals, InvalidInput
 from .nodewise import NodewiseFit
+
+# columns of residuals gathered at a time to multiply into a formed block
+_PIECE_COLS = 64
 
 
 def estimate_v(fit: NodewiseFit) -> SymMatrix:
@@ -76,12 +82,16 @@ class LazyEta:
     def __getitem__(self, key) -> np.ndarray:
         every_row, cols = key
         rows, cols = self._rows[cols], self._cols[cols]
-        if every_row != slice(None) or rows.ndim != 1:
+        if not (isinstance(every_row, slice) and every_row == slice(None)) \
+                or rows.ndim != 1:
             raise InvalidInput("scores are read as eta[:, cols] with cols a "
                                "slice or an index array")
-        # in place, with the bits of eps[:, rows] * eps[:, cols] - v
+        # in place, with the bits of eps[:, rows] * eps[:, cols] - v; the
+        # second factor is gathered _PIECE_COLS columns at a time
         out = self._eps[:, rows]
-        out *= self._eps[:, cols]
+        for lo in range(0, cols.size, _PIECE_COLS):
+            piece = slice(lo, lo + _PIECE_COLS)
+            out[:, piece] *= self._eps[:, cols[piece]]
         out -= self._v[rows, cols]
         return out
 

@@ -7,7 +7,7 @@ import pytest
 
 from precboot import Dataset, IndexSet, RngSpec, bootstrap, center, \
     fit_pipeline, gaussian_mult_factor, index_set_all_offdiag, kmb_draws, \
-    longrun, multiplier_cov, recover_support
+    longrun, multiplier_cov, precision, recover_support
 from precboot.bootstrap import DRAW_CHUNK, BootstrapConfig, \
     BootstrapResult, max_statistic, psd_factor, score_mult_factor
 from precboot.errors import InvalidInput, InvalidLevel, ShapeError
@@ -278,21 +278,24 @@ class TestKmbDraws:
     @pytest.mark.parametrize("block", [None, 7])
     def test_buffered_epilogue_is_bitwise_unbuffered(self, rng, monkeypatch,
                                                      block):
-        # the projections, their |.| and the scaled copies go to reused
-        # buffers; every operation is the unbuffered one, so on both routes,
-        # over whole and partial draw chunks and score blocks, the stats
-        # are bitwise the same
+        # the projections go to one reused buffer and are scaled and reduced
+        # a tile of rows at a time; every operation is the unbuffered one or
+        # an exact max, so on both routes, over whole and partial draw
+        # chunks, score blocks and tiles (r = 17 and 33 are several tiles of
+        # 5 and a partial one), the stats are bitwise the same
         if block is not None:
             monkeypatch.setattr(longrun, "SCORE_BLOCK", block)
         cfg = BootstrapConfig(rng=RngSpec(12), M=DRAW_CHUNK + 44,
                               bandwidth=2.0)
-        for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
-            eta = serially_dependent(rng, n, r)
-            h = rng.uniform(0.5, 2.0, r)
-            got = kmb_draws(eta, h, cfg, (False, True))
-            want = unbuffered_stats(eta, h, cfg, (False, True))
-            for res, stats in zip(got, want):
-                np.testing.assert_array_equal(res.stats, stats)
+        for tile in (bootstrap._TILE_ROWS, 5):
+            monkeypatch.setattr(bootstrap, "_TILE_ROWS", tile)
+            for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
+                eta = serially_dependent(rng, n, r)
+                h = rng.uniform(0.5, 2.0, r)
+                got = kmb_draws(eta, h, cfg, (False, True))
+                want = unbuffered_stats(eta, h, cfg, (False, True))
+                for res, stats in zip(got, want):
+                    np.testing.assert_array_equal(res.stats, stats)
 
     def test_vectors_hook_agrees_with_stats(self, rng):
         # stats are the sorted max-abs of the reference draw vectors, plain
@@ -382,23 +385,32 @@ class TestKmbDraws:
         # p = 120, n = 100 offdiag: r = 14,280 columns, 11.4 MB of scores if
         # they were formed at once; read a block at a time, the draws hold a
         # few n x SCORE_BLOCK blocks besides their length-r vectors (pair
-        # indices, h, draw scales, w_diag and its square root)
+        # indices, h, draw scales, w_diag and its square root). Past one
+        # draw chunk they hold one formed block and the piece multiplied
+        # into it, one SCORE_BLOCK x DRAW_CHUNK projection and one tile of
+        # it, the n x M draws and the n x n factor besides those vectors
         monkeypatch.setattr(longrun, "SCORE_BLOCK", 512)
         n, p = 100, 120
         y = serially_dependent(np.random.default_rng(3), n, p)
         pipe = fit_pipeline(center(Dataset(y)))
         S = index_set_all_offdiag(p)
-        cfg = BootstrapConfig(rng=RngSpec(4), M=20, bandwidth=2.0)
-        bound = 4 * n * longrun.SCORE_BLOCK * 8 + 8 * S.r * 8
-        assert bound < n * S.r * 8 / 4
-        tracemalloc.start()
-        try:
-            eta, h = pipe.scores(S)
-            kmb_draws(eta, h, cfg, (False, True))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        for M in (20, DRAW_CHUNK + 1):
+            cfg = BootstrapConfig(rng=RngSpec(4), M=M, bandwidth=2.0)
+            if M <= DRAW_CHUNK:
+                bound = 4 * n * longrun.SCORE_BLOCK * 8 + 8 * S.r * 8
+            else:
+                bound = 8 * (n * (longrun.SCORE_BLOCK + precision._PIECE_COLS)
+                             + (longrun.SCORE_BLOCK + bootstrap._TILE_ROWS)
+                             * DRAW_CHUNK + n * (M + n) + 8 * S.r)
+            assert bound < n * S.r * 8 / 4
+            tracemalloc.start()
+            try:
+                eta, h = pipe.scores(S)
+                kmb_draws(eta, h, cfg, (False, True))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, M
 
     def test_dual_matches_separate_runs(self, rng):
         eta = rng.standard_normal((30, 5))

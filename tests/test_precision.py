@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from precboot import SymMatrix, estimate_omega, estimate_v
+from precboot import SymMatrix, estimate_omega, estimate_v, precision
 from precboot.core import IndexSet
 from precboot.errors import DegenerateResiduals, InvalidDimension, \
     InvalidInput
@@ -99,24 +99,31 @@ class TestEtaScores:
 
 
 class TestLazyPath:
-    def test_lazy_matches_dense(self, rng):
+    def test_lazy_matches_dense(self, rng, monkeypatch):
+        # a read multiplies its second factor in a piece of columns at a
+        # time; at pieces of 3, the slice 1:9 and the 7 indices span several
+        # pieces and a partial one
         eps = rng.standard_normal((20, 6))
         fit = make_fit(eps)
         v = estimate_v(fit)
-        S = IndexSet(np.array([[1, 2], [3, 4], [5, 6], [2, 5]]))
+        S = IndexSet(np.array([[1, 2], [3, 4], [5, 6], [2, 5], [6, 1], [4, 2],
+                               [1, 3], [5, 4], [2, 6], [3, 1], [6, 5]]))
         rows, cols = S.rows(), S.cols()
         dense = eps[:, rows] * eps[:, cols] - v.values[rows, cols]
         eps = eps.copy()
         lazy = scores_for(fit, v, S)
         assert lazy.shape == dense.shape
-        np.testing.assert_array_equal(lazy[:, 1:3], dense[:, 1:3])
-        np.testing.assert_array_equal(lazy[:, [3, 0]], dense[:, [3, 0]])
-        np.testing.assert_array_equal(lazy[:, :], dense)
+        for piece in (precision._PIECE_COLS, 3):
+            monkeypatch.setattr(precision, "_PIECE_COLS", piece)
+            for key in (slice(1, 3), [3, 0], slice(1, 9),
+                        [10, 0, 3, 3, 7, 2, 9], slice(None)):
+                np.testing.assert_array_equal(lazy[:, key], dense[:, key])
         # reading the scores leaves the residuals they are formed from alone
         np.testing.assert_array_equal(fit.residuals, eps)
 
     @pytest.mark.parametrize("key", [(slice(0, 2), slice(None)),
-                                     (slice(None), 0), 0])
+                                     (slice(None), 0), 0,
+                                     (np.arange(20), slice(0, 3))])
     def test_only_whole_columns_are_read(self, rng, key):
         fit = make_fit(rng.standard_normal((20, 4)))
         eta = scores_for(fit, estimate_v(fit), IndexSet(np.array([[1, 2]])))
