@@ -1,9 +1,13 @@
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from precboot import (Dataset, IndexSet, RngSpec, SymMatrix, center,
                       index_set_all_offdiag, index_set_from_blocks)
-from precboot.core import index_set_from_mask
+from precboot.core import SEED_BLOCK, index_set_from_mask
 from precboot.errors import EmptyBlock, InsufficientData, InvalidDimension, \
     InvalidInput
 
@@ -159,3 +163,101 @@ class TestRngSpec:
         a = spec.generator(3, 1).standard_normal(4)
         b = spec.child(3).generator(1).standard_normal(4)
         assert not np.array_equal(a, b)
+
+
+def numpy_seed_sequence(seed, stream, key):
+    """NumPy's own SeedSequence for substream ``key`` of RngSpec(seed,
+    stream): the stream is the 32-bit little-endian blake2b digest of its
+    name, spawned ahead of the key."""
+    digest = hashlib.blake2b(stream.encode(), digest_size=4).digest()
+    return np.random.SeedSequence(
+        seed, spawn_key=(int.from_bytes(digest, "little"), *key))
+
+
+# seeds of 1, 2 and 5 32-bit words (a child's seed is 64-bit)
+SEEDS = [0, 7, 2 ** 32, 2 ** 64 - 1, 2 ** 130 + 5]
+# last elements at and next to the edges of a block and of a 32-bit word,
+# leading elements of 2**32 and more, and keys of 1 to 3 elements
+KEYS = [(0,), (1,), (255,), (256,), (2 ** 32 - 1,), (2 ** 32,),
+        (2 ** 64 + 3,), (3, 0), (2 ** 32, 257), (2 ** 70, 1, 2 ** 33),
+        (4, 5, 6), ()]
+
+
+class TestRngSpecMatchesSeedSequence:
+    # the block hash must give NumPy's own seeds bit for bit: a fixed-seed
+    # output depends on every state word
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("stream", ["", "boot"])
+    def test_generator_state_is_numpy_state(self, seed, stream):
+        spec = RngSpec(seed, stream)
+        for key in KEYS:
+            got = spec.generator(*key)
+            want = np.random.default_rng(
+                numpy_seed_sequence(seed, stream, key))
+            assert got.bit_generator.state == want.bit_generator.state, key
+            assert np.array_equal(got.standard_normal(7),
+                                  want.standard_normal(7))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_child_seed_is_first_state_word(self, seed):
+        spec = RngSpec(seed, "x")
+        for key in KEYS:
+            want = int(numpy_seed_sequence(seed, "x", key)
+                       .generate_state(1, np.uint64)[0])
+            child = spec.child(*key)
+            assert child.seed == want, key
+            assert child.stream == "x/" + "-".join(map(str, key))
+
+    def test_interleaved_specs_and_prefixes(self):
+        # each call may replace the one block a spec keeps
+        a, b = RngSpec(7, "x"), RngSpec(2 ** 40, "y")
+        calls = []
+        for m in (0, 300, 1, 299, 255, 256, 2, 511, 512, 3):
+            calls += [(a, (m,)), (b, (m,)), (a, (5, m)), (b, (2 ** 32, m)),
+                      (a, (m,))]
+        for spec, key in calls:
+            got = spec.generator(*key).bit_generator.state
+            want = np.random.PCG64(
+                numpy_seed_sequence(spec.seed, spec.stream, key)).state
+            assert got == want, (spec, key)
+
+    def test_threads_sharing_a_spec(self):
+        # threads replace the one kept block under each other; each call
+        # must still read the block of its own key
+        spec = RngSpec(11, "boot")
+        keys = [(t, m) for m in range(0, 2048, 97) for t in range(6)]
+        want = [np.random.PCG64(numpy_seed_sequence(11, "boot", key)).state
+                for key in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(
+                    lambda key: spec.generator(*key).bit_generator.state,
+                    keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_numpy_integer_keys(self):
+        spec = RngSpec(np.int64(7), "x")
+        assert spec.generator(np.int64(300)).bit_generator.state \
+            == RngSpec(7, "x").generator(300).bit_generator.state
+        assert spec.child(np.uint32(2)) == RngSpec(7, "x").child(2)
+
+    def test_seed_block_is_a_power_of_two(self):
+        # then no block straddles 2**32, where a key's word count changes
+        assert SEED_BLOCK > 0 and SEED_BLOCK & (SEED_BLOCK - 1) == 0
+
+    @pytest.mark.parametrize("key", [(-1,), (1.5,), (2.0,), ("3",), (None,),
+                                     (0, -2), (2.0, 1)])
+    def test_bad_keys_raise_invalid_input(self, key):
+        spec = RngSpec(7, "x")
+        with pytest.raises(InvalidInput, match="key must be"):
+            spec.generator(*key)
+        with pytest.raises(InvalidInput, match="key must be"):
+            spec.child(*key)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            RngSpec(1.5, "x")

@@ -256,3 +256,41 @@ class TestFileAccessLayering:
                  for path in sorted(PACKAGE.glob("*.py"))}
         assert found.pop("cli.py") == {"import csv", "import json", "open"}
         assert {name: f for name, f in found.items() if f} == {}
+
+
+RNG_CONSTRUCTORS = {"SeedSequence", "default_rng", "Generator", "PCG64",
+                    "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState"}
+
+
+def rng_constructions(source: str):
+    """The NumPy RNG constructors that a module calls, by name or as an
+    attribute (``np.random.default_rng(...)``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in RNG_CONSTRUCTORS:
+                found.add(name)
+    return found
+
+
+class TestRngConstruction:
+    # core seeds every substream by the block hash that its tests check
+    # against NumPy's SeedSequence; an RNG made anywhere else bypasses it
+    def test_checker_finds_calls_not_annotations(self):
+        source = ("import numpy as np\n"
+                  "from numpy.random import default_rng\n"
+                  "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+                  "    a = default_rng(1)\n"
+                  "    return np.random.Generator(np.random.PCG64(2))\n")
+        assert rng_constructions(source) == {"default_rng", "Generator",
+                                             "PCG64"}
+        assert rng_constructions("x = rng.generator(3)\n") == set()
+
+    def test_only_core_constructs_rngs(self):
+        found = {path.name: rng_constructions(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+        assert found.pop("core.py") == {"Generator", "PCG64"}
+        assert {name: f for name, f in found.items() if f} == {}
