@@ -6,8 +6,8 @@ draw's own covariance is the r x r long-run covariance eta' A eta. Two
 routes give that law:
 
   * r >= n: factor A (L L' = A), draw n normals per draw and project
-    g = L z on the scores one block of ``longrun.SCORE_BLOCK`` columns at
-    a time, so no r x r object and no n x r score matrix is formed;
+    g = L z on the scores one block of ``DRAW_CHUNK`` columns at a time,
+    so no r x r object and no n x r score matrix is formed;
   * r < n: factor eta' A eta itself (R R' = eta' A eta) and draw r normals
     per draw, so no n x n factor is formed.
 
@@ -20,13 +20,14 @@ change of the bandwidth moves them a little.
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
 
-The draw step's working set is one formed score block, one SCORE_BLOCK x
-DRAW_CHUNK projection buffer that each product writes into (the r < n
-route needs none: its draws are the projections), one tile of
-``_TILE_ROWS`` rows in which a projection is scaled and reduced to its
-column max, the draws themselves and the r-vectors. Tiling changes no bit:
-abs, scale and max are elementwise or exact, and every product keeps its
-(score block, draw chunk) shape, on which the BLAS result depends.
+The draw step's working set does not grow with r past the r-vectors: one
+formed n x DRAW_CHUNK score block, one DRAW_CHUNK x DRAW_CHUNK projection
+buffer that each product writes into (the r < n route needs none: its
+draws are the projections), one tile of ``_TILE_ROWS`` rows in which a
+projection is scaled and reduced to its column max, and the draws
+themselves. Tiling changes no bit: abs, scale and max are elementwise or
+exact. The BLAS result does depend on each product's shape, which is
+fixed by DRAW_CHUNK and M alone.
 
 A ``BootstrapResult`` turns the draws into answers. It carries n and the
 r-vector ``scale`` each coordinate was divided by (ones for a plain run,
@@ -41,7 +42,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import longrun
 from .core import MIN_N, RngSpec
 from .errors import InsufficientData, InvalidInput, InvalidLevel, ShapeError
 from .longrun import PLUG_IN_MIN_N, KernelSpec, andrews_bandwidth, \
@@ -172,12 +172,11 @@ def _draw_multipliers(factor: np.ndarray, rng: RngSpec, m_start: int,
                       m_stop: int) -> np.ndarray:
     """``factor @ z`` for the standard normals z of draws m_start..m_stop-1,
     one substream per draw so results do not depend on chunking or thread
-    count."""
-    k = factor.shape[1]
-    z = np.empty((k, m_stop - m_start))
-    for m in range(m_start, m_stop):
-        z[:, m - m_start] = rng.generator(m).standard_normal(k)
-    return factor @ z
+    count. Each draw's normals are written straight into its row of z'."""
+    z_t = np.empty((m_stop - m_start, factor.shape[1]))
+    for m, row in zip(range(m_start, m_stop), z_t):
+        rng.generator(m).standard_normal(out=row)
+    return factor @ z_t.T
 
 
 def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
@@ -210,11 +209,10 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     width = min(cfg.M, DRAW_CHUNK)
     # the one projection buffer (r >= n: on the r < n route the draws are
     # already the projections), and one tile of scaled rows
-    proj_buf = np.empty(min(r, longrun.SCORE_BLOCK) * width) if r >= n \
-        else None
+    proj_buf = np.empty(min(r, DRAW_CHUNK) * width) if r >= n else None
     tile_buf = np.empty(min(r, _TILE_ROWS) * width)
-    for start in range(0, r, longrun.SCORE_BLOCK):
-        stop = min(start + longrun.SCORE_BLOCK, r)
+    for start in range(0, r, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
             if r >= n:

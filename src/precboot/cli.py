@@ -6,7 +6,9 @@ Every run writes its primary output as CSV (or JSON for single test
 outcomes) plus a ``<out>.manifest.json`` holding every parsed argument of
 the command and what the run found (the bandwidth used, |S|, failures),
 enough to reproduce the run exactly. Output paths are checked before any
-work. Exit codes: 0 ok, 1 user error, 2 internal error.
+work, and a run's files appear together or not at all: each is written
+under a temporary name and renamed into place after the last write. Exit
+codes: 0 ok, 1 user error, 2 internal error.
 """
 from __future__ import annotations
 
@@ -55,19 +57,52 @@ def _read_csv(path) -> List[List[str]]:
     return rows
 
 
-def _write_csv(path, header, rows):
-    """A CSV file of ``rows`` under ``header`` (none when it is None)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+class _Outputs:
+    """The files one command writes. Each is written under a temporary name
+    in its target's folder; ``commit`` renames them all into place once the
+    last has been written, and ``discard`` removes the temporary files, so
+    a run that fails part way leaves the folders as it found them."""
 
+    def __init__(self):
+        self._staged = []  # (temporary name, target)
 
-def _write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def _open(self, path, **kwargs):
+        folder, name = os.path.split(path)
+        temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+        fh = open(temporary, "x", **kwargs)
+        self._staged.append((temporary, path))
+        return fh
+
+    def write_csv(self, path, header, rows):
+        """A CSV file of ``rows`` under ``header`` (none when it is None)."""
+        with self._open(path, newline="") as fh:
+            writer = csv.writer(fh)
+            if header is not None:
+                writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_json(self, path, payload: dict):
+        with self._open(path) as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def write_manifest(self, args, **findings):
+        """``<out>.manifest.json``: every parsed argument, then what the run
+        found."""
+        self.write_json(args.out + ".manifest.json",
+                        {"tool": "precboot", "version": __version__,
+                         **vars(args), **findings})
+
+    def commit(self):
+        for temporary, path in self._staged:
+            os.replace(temporary, path)
+        self._staged.clear()
+
+    def discard(self):
+        for temporary, _ in self._staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        self._staged.clear()
 
 
 def _num(x) -> str:
@@ -293,18 +328,10 @@ def _check_outputs(args):
             raise UserError(f"{path}: no directory {folder}")
 
 
-def _write_manifest(args, **findings):
-    """``<out>.manifest.json``: every parsed argument, then what the run
-    found."""
-    _write_json(args.out + ".manifest.json",
-                {"tool": "precboot", "version": __version__, **vars(args),
-                 **findings})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out: _Outputs) -> int:
     dgp = DgpSpec(structure=args.structure, p=args.p, rho=args.rho, n=args.n,
                   rng=RngSpec(args.seed, "dgp"))
     boot_cfg = _boot_cfg(args)
@@ -315,43 +342,43 @@ def _cmd_simulate(args) -> int:
         lasso_cfg=LassoConfig(lambda_scale=args.lambda_scale),
         threads=args.threads) for choice in sets]
     # Tables-style: one row per structure x rho x set x level
-    _write_csv(args.out, ["structure", "rho", "p", "n", "set", "level",
-                          "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"],
-               ([dgp.structure, _num(dgp.rho), dgp.p, dgp.n, choice]
-                + [_num(x) for x in (level, rep.mean[KMB][level],
-                                     rep.sd[KMB][level], rep.mean[SKMB][level],
-                                     rep.sd[SKMB][level])]
-                for choice, rep in zip(sets, reports)
-                for level in DEFAULT_LEVELS))
-    _write_manifest(args, sets=sets,
-                    failures=sum(r.failures for r in reports))
+    out.write_csv(args.out, ["structure", "rho", "p", "n", "set", "level",
+                              "kmb_mean", "kmb_sd", "skmb_mean", "skmb_sd"],
+                   ([dgp.structure, _num(dgp.rho), dgp.p, dgp.n, choice]
+                    + [_num(x) for x in (
+                        level, rep.mean[KMB][level], rep.sd[KMB][level],
+                        rep.mean[SKMB][level], rep.sd[SKMB][level])]
+                    for choice, rep in zip(sets, reports)
+                    for level in DEFAULT_LEVELS))
+    out.write_manifest(args, sets=sets,
+                       failures=sum(r.failures for r in reports))
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, out: _Outputs) -> int:
     data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups) if args.set else None
     cfg = _boot_cfg(args)
     pipe, boot = _fit_and_draw(args, data, S, cfg if S is not None else None)
     findings = {"n": data.n, "p": data.p,
                 "lambdas": [float(x) for x in pipe.fit.lambdas]}
-    _write_csv(args.out, None,
-               ([_num(x) for x in row] for row in pipe.omega_hat.values))
+    out.write_csv(args.out, None,
+                   ([_num(x) for x in row] for row in pipe.omega_hat.values))
     if S is not None:
         omega_s = pipe.omega_on(S)
         half = boot.half_width(1.0 - args.alpha)
-        _write_csv(args.intervals_out, ["j1", "j2", "omega", "lo", "hi"],
-                   ([j1, j2, _num(val), _num(lo), _num(hi)]
-                    for (j1, j2), val, lo, hi in zip(
-                        S.pairs.tolist(), omega_s, omega_s - half,
-                        omega_s + half)))
+        out.write_csv(args.intervals_out, ["j1", "j2", "omega", "lo", "hi"],
+                       ([j1, j2, _num(val), _num(lo), _num(hi)]
+                        for (j1, j2), val, lo, hi in zip(
+                            S.pairs.tolist(), omega_s, omega_s - half,
+                            omega_s + half)))
         findings.update(bandwidth_used=boot.bandwidth, r=S.r,
                         quantile=boot.quantile(1.0 - args.alpha))
-    _write_manifest(args, **findings)
+    out.write_manifest(args, **findings)
     return 0
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args, out: _Outputs) -> int:
     data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups)
     if args.zero:
@@ -367,7 +394,7 @@ def _cmd_test(args) -> int:
                             f"got {c[row - 1]}")
     pipe, boot = _fit_and_draw(args, data, S, _boot_cfg(args))
     outcome = test_structure(pipe.omega_on(S), c, boot, args.alpha)
-    _write_json(args.out, {
+    out.write_json(args.out, {
         "statistic": outcome.statistic, "quantile": outcome.quantile,
         "p_value": outcome.p_value, "reject": outcome.reject,
         "alpha": args.alpha,
@@ -375,24 +402,24 @@ def _cmd_test(args) -> int:
     print(("REJECT" if outcome.reject else "RETAIN")
           + f" p={outcome.p_value:.6g} stat={outcome.statistic:.6g}"
           + f" q={outcome.quantile:.6g}")
-    _write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r)
+    out.write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r)
     return 0
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args, out: _Outputs) -> int:
     data, groups = _load_dataset(args)
     S = parse_index_set(args.set, data.p, groups)
     pipe, boot = _fit_and_draw(args, data, S, _boot_cfg(args))
     selected = recover_support(pipe.omega_on(S), S, boot, args.alpha)
-    _write_csv(args.out, ["j1", "j2", "omega"],
-               ([j1, j2, _num(pipe.omega_hat[j1 - 1, j2 - 1])]
-                for j1, j2 in selected))
-    _write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r,
-                    selected=len(selected))
+    out.write_csv(args.out, ["j1", "j2", "omega"],
+                   ([j1, j2, _num(pipe.omega_hat[j1 - 1, j2 - 1])]
+                    for j1, j2 in selected))
+    out.write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r,
+                       selected=len(selected))
     return 0
 
 
-def _cmd_blocks(args) -> int:
+def _cmd_blocks(args, out: _Outputs) -> int:
     data, groups = _load_dataset(args)
     if not groups:
         raise UserError("blocks needs --group-map labels")
@@ -404,11 +431,11 @@ def _cmd_blocks(args) -> int:
     result = block_test_matrix(pipe, groups, cfg, alpha=args.fdr,
                                include_within=args.within,
                                threads=args.threads)
-    _write_csv(args.out, ["group1", "group2", "p_value", "rejected"],
-               ([t.group1, t.group2, _num(t.p_value), int(t.rejected)]
-                for t in result.tests))
-    _write_manifest(args, studentized=True, groups=sorted(groups),
-                    rejected=len(result.adjacency))
+    out.write_csv(args.out, ["group1", "group2", "p_value", "rejected"],
+                   ([t.group1, t.group2, _num(t.p_value), int(t.rejected)]
+                    for t in result.tests))
+    out.write_manifest(args, studentized=True, groups=sorted(groups),
+                       rejected=len(result.adjacency))
     return 0
 
 
@@ -501,16 +528,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    out = _Outputs()
     try:
         args = parser.parse_args(argv)
         _check_outputs(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args, out)
+        out.commit()
+        return code
     except (UserError, PrecbootError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
+    finally:
+        out.discard()
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ from .errors import BandwidthFallback, DegenerateVariance, InsufficientData, \
 QS = "qs"
 BARTLETT = "bartlett"
 
-# readers that stream over all r score columns take them this many at a time
+# the column route of the bandwidth and of w_diag reads this many score
+# columns at a time; the bootstrap draws take DRAW_CHUNK columns instead
 SCORE_BLOCK = 8192
 
 # on the column route w_diag copies its lag-weight matrix out in blocks of
@@ -220,24 +221,41 @@ def _toeplitz_forms(eta, weights: np.ndarray):
     return quad, lag0
 
 
+def _less_v_terms(form, cross, v_ab, count):
+    """form - 2.0 * v_ab * cross + v_ab * v_ab * count, computed in place in
+    ``form`` with the bits of that expression; ``cross`` is overwritten."""
+    cross *= 2.0 * v_ab
+    form -= cross
+    np.multiply(v_ab, v_ab, out=cross)
+    cross *= count
+    form += cross
+    return form
+
+
 def _gram_forms(e, a, b, v_ab, weights: np.ndarray):
     """(x' T x, x' x) for the score x = e_a e_b - v_ab of each pair (a, b) of
     columns of E, T = lag_toeplitz(weights): x' T x = sum_k c_k w_k
     [P_k' P_k]_ab - 2 v_ab [E' diag(T 1) E]_ab + v_ab^2 1' T 1, with c_0 = 1
-    and c_k = 2; lags of zero weight are skipped."""
+    and c_k = 2; lags of zero weight are skipped. Each |U| x |U| matrix and
+    r-vector is dropped as soon as it has been read."""
     n = e.shape[0]
     p0 = e * e
-    gram, total = p0.T @ p0, e.T @ e
-    lag0 = gram[a, b] - 2.0 * v_ab * total[a, b] + v_ab * v_ab * n
+    gram = p0.T @ p0
+    del p0
+    lag0 = _less_v_terms(gram[a, b], (e.T @ e)[a, b], v_ab, n)
     for k in np.flatnonzero(weights[1:]) + 1:
         p = e[:-k] * e[k:]
-        gram += (2.0 * weights[k]) * (p.T @ p)
+        lag = p.T @ p
+        lag *= 2.0 * weights[k]
+        gram += lag
+        del p, lag
     # (T 1)_t = sum_{k <= t} w_k + sum_{k <= n-1-t} w_k - w_0
     upto = np.cumsum(weights)
     row_sums = upto + upto[::-1] - weights[0]
-    spread = (e * row_sums[:, None]).T @ e
-    return (gram[a, b] - 2.0 * v_ab * spread[a, b]
-            + v_ab * v_ab * row_sums.sum(), lag0)
+    quad = gram[a, b]
+    del gram
+    spread = ((e * row_sums[:, None]).T @ e)[a, b]
+    return _less_v_terms(quad, spread, v_ab, row_sums.sum()), lag0
 
 
 def w_diag(eta, h_diag: np.ndarray, s_n: float,
@@ -261,14 +279,16 @@ def w_diag(eta, h_diag: np.ndarray, s_n: float,
     gram = _gram_inputs(eta)
     quad, lag0 = (_toeplitz_forms(eta, weights) if gram is None
                   else _gram_forms(*gram, weights))
+    # in place in quad, with the bits of h2 * quad / n
     h2 = h_diag ** 2
-    w = h2 * quad / n
-    base = h2 * lag0 / n
-    floor = W_FLOOR_EPS * np.where(base > 0.0, base, W_FLOOR_EPS)
+    w = np.multiply(quad, h2, out=quad)
+    w /= n
     bad = w <= 0.0
-    floored = int(bad.sum())
+    floored = int(np.count_nonzero(bad))
     if floored:
         warnings.warn(
             f"{floored} long-run variance estimates were non-positive and "
             "got floored", DegenerateVariance)
-    return np.where(bad, floor, w)
+        base = h2[bad] * lag0[bad] / n
+        w[bad] = W_FLOOR_EPS * np.where(base > 0.0, base, W_FLOOR_EPS)
+    return w

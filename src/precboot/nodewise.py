@@ -74,18 +74,18 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     coefficient k moved are updated. A row leaves the solve at the end of
     the first sweep whose largest move is below tol. Every step is
     elementwise over rows, so each row does exactly the arithmetic of a
-    one-node solve. Every C_b[k, k] must be positive. Returns (gamma,
-    sweeps, converged), one row per node.
+    one-node solve. Every C_b must be exactly symmetric (its rows are read
+    as its columns) with C_b[k, k] positive. Returns (gamma, sweeps,
+    converged), one row per node.
     """
     n_b, p, _ = gram.shape
     rows_all = n_b * p
     # np.zeros, not -np.eye: the latter leaves -0.0 in untouched coefficients
     gamma = np.zeros((rows_all, p))
     gamma.reshape(n_b, p * p)[:, ::p + 1] = -1.0
-    gram_cols = np.ascontiguousarray(gram.transpose(0, 2, 1))
-    q = -gram_cols.reshape(rows_all, p)  # q[i] = C_b @ gamma[i], incremental
-    # by_coord[k][b] = C_b[:, k], the update direction of coordinate k
-    by_coord = np.ascontiguousarray(gram_cols.transpose(1, 0, 2))
+    # q[i] = C_b @ gamma[i], kept incrementally; C_b is symmetric, so its
+    # row j is its column j and row k is the update direction of coordinate k
+    q = -gram.reshape(rows_all, p)
     ckk_all = np.repeat(np.diagonal(gram, axis1=1, axis2=2).T, p, axis=1)
     neg_lambdas = -lambdas
     sweeps = np.zeros(rows_all, dtype=np.int64)
@@ -112,8 +112,12 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
             diff[k::p] = 0.0
             rows = np.flatnonzero(diff)
             if rows.size:
-                cols = by_coord[k] if n_b == 1 else by_coord[k][rows // p]
-                q[rows] += diff[rows, None] * cols
+                if n_b == 1:  # one Gram: broadcast its row, no gather
+                    step = diff[rows, None] * gram[0, k]
+                else:
+                    step = gram[rows // p, k]
+                    step *= diff[rows, None]
+                q[rows] += step
                 gamma[rows, k] = new[rows]
                 np.maximum(max_delta, np.abs(diff, out=diff), out=max_delta)
         sweeps[~converged] = sweep
@@ -121,10 +125,6 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
         if converged.all():
             break
     return gamma, sweeps, converged
-
-
-def _gram(data: Dataset) -> np.ndarray:
-    return data.values.T @ data.values / data.n
 
 
 def node_penalties(data: Dataset, cfg: LassoConfig) -> np.ndarray:
@@ -172,13 +172,18 @@ def fit_batch(samples: Sequence[Dataset], lambdas: Sequence[np.ndarray],
     """Solve the node-wise regressions of several centred samples of one
     shape in one lockstep call; ``lambdas`` are their node_penalties.
     Raises DegenerateColumn if a sample has a zero-variance column."""
-    gram = np.stack([_gram(d) for d in samples])
+    n_b, (n, p) = len(samples), samples[0].values.shape
+    # Y'Y is computed as a symmetric rank-k update, so each Gram is exactly
+    # symmetric, as _cd_lockstep needs
+    gram = np.empty((n_b, p, p))
+    for d, out in zip(samples, gram):
+        np.matmul(d.values.T, d.values, out=out)
+    gram /= n
     zero = np.argwhere(np.diagonal(gram, axis1=1, axis2=2) <= 0.0)
     if zero.size:
         b, j = zero[0]
         raise DegenerateColumn(f"sample {b}: column {j + 1} has zero variance")
     lambdas = np.stack(lambdas)
-    n_b, p = lambdas.shape
     alpha, sweeps, converged = _cd_lockstep(gram, lambdas.ravel(), cfg.tol,
                                             cfg.max_iter)
     return NodewiseBatch(

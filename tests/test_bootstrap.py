@@ -153,22 +153,24 @@ class TestScoreMultFactor:
 
 def unbuffered_stats(eta, h_diag, cfg, studentized):
     """kmb_draws' sorted max statistics with a fresh |projection| array and
-    one scaled temporary per draw chunk: the reference for its buffers."""
+    one scaled temporary per DRAW_CHUNK x DRAW_CHUNK product: the reference
+    for its buffers."""
     from precboot.bootstrap import _draw_multipliers
 
     n, r = eta.shape
+    chunk = bootstrap.DRAW_CHUNK
     s_n = cfg.bandwidth_for(eta)
     sd = np.sqrt(w_diag(eta, h_diag, s_n, cfg.kernel))
     plain = h_diag / math.sqrt(n)
     scales = [plain / sd if stud else plain for stud in studentized]
     factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
               else gaussian_mult_factor(n, s_n, cfg.kernel))
-    starts = range(0, cfg.M, DRAW_CHUNK)
-    draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
+    starts = range(0, cfg.M, chunk)
+    draws = [_draw_multipliers(factor, cfg.rng, m, min(m + chunk, cfg.M))
              for m in starts]
     stats = np.zeros((len(scales), cfg.M))
-    for start in range(0, r, longrun.SCORE_BLOCK):
-        stop = min(start + longrun.SCORE_BLOCK, r)
+    for start in range(0, r, chunk):
+        stop = min(start + chunk, r)
         cols_t = eta[:, start:stop].T if r >= n else None
         for m, g in zip(starts, draws):
             mag = np.abs(cols_t @ g if r >= n else g[start:stop])
@@ -281,13 +283,17 @@ class TestKmbDraws:
         # the projections go to one reused buffer and are scaled and reduced
         # a tile of rows at a time; every operation is the unbuffered one or
         # an exact max, so on both routes, over whole and partial draw
-        # chunks, score blocks and tiles (r = 17 and 33 are several tiles of
-        # 5 and a partial one), the stats are bitwise the same
+        # chunks, projection blocks and tiles (r = 17 and 33 are several
+        # tiles of 5 and a partial one, and r = 33 several projection blocks
+        # of 7 and a partial one), the stats are bitwise the same. The draws
+        # do not read SCORE_BLOCK; the reference's w_diag does
         if block is not None:
             monkeypatch.setattr(longrun, "SCORE_BLOCK", block)
         cfg = BootstrapConfig(rng=RngSpec(12), M=DRAW_CHUNK + 44,
                               bandwidth=2.0)
-        for tile in (bootstrap._TILE_ROWS, 5):
+        for chunk, tile in ((DRAW_CHUNK, bootstrap._TILE_ROWS),
+                            (DRAW_CHUNK, 5), (7, 5)):
+            monkeypatch.setattr(bootstrap, "DRAW_CHUNK", chunk)
             monkeypatch.setattr(bootstrap, "_TILE_ROWS", tile)
             for n, r in ((40, 17), (15, 33)):  # r < n, then r >= n
                 eta = serially_dependent(rng, n, r)
@@ -386,9 +392,10 @@ class TestKmbDraws:
         # they were formed at once; read a block at a time, the draws hold a
         # few n x SCORE_BLOCK blocks besides their length-r vectors (pair
         # indices, h, draw scales, w_diag and its square root). Past one
-        # draw chunk they hold one formed block and the piece multiplied
-        # into it, one SCORE_BLOCK x DRAW_CHUNK projection and one tile of
-        # it, the n x M draws and the n x n factor besides those vectors
+        # draw chunk they hold one formed n x DRAW_CHUNK block and the piece
+        # multiplied into it, one DRAW_CHUNK x DRAW_CHUNK projection and one
+        # tile of it, the n x M draws and the n x n factor besides those
+        # vectors; a SCORE_BLOCK above DRAW_CHUNK only loosens the bound
         monkeypatch.setattr(longrun, "SCORE_BLOCK", 512)
         n, p = 100, 120
         y = serially_dependent(np.random.default_rng(3), n, p)
@@ -411,6 +418,31 @@ class TestKmbDraws:
             finally:
                 tracemalloc.stop()
             assert peak < bound, M
+
+    def test_draw_step_is_bounded_by_draw_chunk(self):
+        # the same shape at the default SCORE_BLOCK (8192, a 6.5 MB block of
+        # these scores): on the r >= n route the draws form and project
+        # DRAW_CHUNK columns at a time, so the bound has no SCORE_BLOCK
+        # term, only one formed block and its piece, one projection and one
+        # tile, the draws and the factor, and the length-r vectors
+        n, p = 100, 120
+        y = serially_dependent(np.random.default_rng(3), n, p)
+        pipe = fit_pipeline(center(Dataset(y)))
+        S = index_set_all_offdiag(p)
+        M = DRAW_CHUNK + 1
+        cfg = BootstrapConfig(rng=RngSpec(4), M=M, bandwidth=2.0)
+        bound = 8 * (n * (DRAW_CHUNK + precision._PIECE_COLS)
+                     + (DRAW_CHUNK + bootstrap._TILE_ROWS) * DRAW_CHUNK
+                     + n * (M + n) + 8 * S.r)
+        assert bound < n * longrun.SCORE_BLOCK * 8 / 2
+        tracemalloc.start()
+        try:
+            eta, h = pipe.scores(S)
+            kmb_draws(eta, h, cfg, (False, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_dual_matches_separate_runs(self, rng):
         eta = rng.standard_normal((30, 5))

@@ -306,6 +306,23 @@ class TestEstimateCommand:
                               .read_text())
         assert manifest["intervals_out"] == str(ints)
 
+    def test_failed_write_leaves_folder_unchanged(self, tmp_path, data_csv,
+                                                  monkeypatch, capsys):
+        # the manifest is written last; when its write fails (a full disk,
+        # say), neither omega.csv nor the intervals written before it may
+        # appear or replace an earlier run's files, and no temporary is left
+        out = tmp_path / "omega.csv"
+        out.write_text("an earlier run\n")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def dump(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr("precboot.cli.json.dump", dump)
+        assert run_cli(["estimate", "--data", data_csv[0], "--out", out,
+                        "--set", "offdiag", "--boot-M", "20"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
 
 class TestTestCommand:
     def test_zero_null(self, tmp_path, data_csv):

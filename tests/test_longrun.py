@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -240,6 +241,39 @@ class TestWDiag:
             kernel_lag_weights(QS, 10, bandwidth)
         with pytest.raises(InvalidInput, match="bandwidth"):
             w_diag(rng.standard_normal((10, 3)), np.ones(3), bandwidth, QS)
+
+    def test_gram_route_working_set(self):
+        # p = 120 offdiag, n = 100: r = 14,280, about |U|^2, so an r-vector
+        # and a |U| x |U| matrix are each 0.11 MB. Above its inputs (the
+        # scores' gram_inputs(), built beforehand) w_diag gathers E, n x
+        # |U|, and builds both forms and the floor in place, holding a few
+        # such matrices and r-vectors at a time; with every form and term a
+        # fresh array it rose about 10 r-vectors
+        from precboot import center, fit_pipeline
+        from precboot.core import Dataset, index_set_all_offdiag
+
+        y = np.random.default_rng(3).standard_normal((100, 120))
+        y[1:] += 0.5 * y[:-1]
+        pipe = fit_pipeline(center(Dataset(y)))
+        eta, h = pipe.scores(index_set_all_offdiag(120))
+        offer = eta.gram_inputs()
+
+        class Offered:  # the same scores, their inputs already built
+            shape = eta.shape
+
+            def gram_inputs(self):
+                return offer
+        for spec in (QS, BART):
+            want = w_diag(eta, h, 2.0, spec)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = w_diag(Offered(), h, 2.0, spec)
+                rise = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(got, want)
+            assert rise < 5 * 8 * eta.shape[1]
 
 
 def direct_w(eta, h, s_n, spec):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,3 +388,50 @@ class TestNotConverged:
             with pytest.raises(NotConverged):
                 batch.fit(b)
         assert np.all(batch.fit(1).iterations == 1)
+
+
+class TestGramStack:
+    """fit_batch fills one stack of exactly symmetric Grams in place, and
+    the lockstep solve reads each Gram's rows as its columns."""
+
+    def test_stack_is_exactly_symmetric(self, rng, monkeypatch):
+        from precboot import nodewise
+        seen = []
+        solve = nodewise._cd_lockstep
+
+        def capture(gram, *args):
+            seen.append(gram.copy())
+            return solve(gram, *args)
+        monkeypatch.setattr(nodewise, "_cd_lockstep", capture)
+        cfg = LassoConfig()
+        for n, p, n_b in ((150, 50, 4), (41, 17, 1), (33, 60, 2)):
+            samples = [make_centered(rng.standard_normal((n, p)))
+                       for _ in range(n_b)]
+            fit_batch(samples, [node_penalties(d, cfg) for d in samples],
+                      cfg)
+            (gram,) = seen
+            seen.clear()
+            assert gram.shape == (n_b, p, p)
+            assert np.array_equal(gram, gram.transpose(0, 2, 1))
+            for d, g in zip(samples, gram):
+                np.testing.assert_allclose(g, d.values.T @ d.values / n,
+                                           rtol=1e-14)
+
+    def test_working_set_of_a_batch(self, rng):
+        # B = 30 samples at the desk shape: above its inputs the solve holds
+        # the Gram stack, gamma, q, the diagonals spread per row and the
+        # update of one coordinate step, each at most B p^2 floats; two
+        # transposed copies of the stack would exceed the bound
+        n_b, n, p = 30, 150, 50
+        samples = [make_centered(rng.standard_normal((n, p)))
+                   for _ in range(n_b)]
+        cfg = LassoConfig()
+        lambdas = [node_penalties(d, cfg) for d in samples]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_batch(samples, lambdas, cfg)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rise < 5 * n_b * p * p * 8
