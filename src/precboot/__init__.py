@@ -10,7 +10,6 @@ from .bootstrap import (
     BootstrapResult,
     gaussian_mult_factor,
     kmb_draws,
-    multiplier_cov,
 )
 from .core import (
     Dataset,
@@ -34,6 +33,7 @@ from .longrun import (
     KernelSpec,
     andrews_bandwidth,
     kernel_eval,
+    multiplier_cov,
     w_diag,
 )
 from .nodewise import LassoConfig, NodewiseFit, fit_all

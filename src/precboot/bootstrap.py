@@ -1,9 +1,9 @@
 """Kernel-based multiplier bootstrap (plain and Studentized).
 
 A bootstrap draw is the projection eta' g of the n x r scores on a Gaussian
-multiplier vector g whose covariance is the n x n kernel matrix A, so the
-draw's own covariance is the r x r long-run covariance eta' A eta. Two
-routes give that law:
+multiplier vector g whose covariance is the n x n kernel matrix A
+(``longrun.multiplier_cov``), so the draw's own covariance is the r x r
+long-run covariance eta' A eta. Two routes give that law:
 
   * r >= n: factor A (L L' = A), draw n normals per draw and project
     g = L z on the scores one block of ``DRAW_CHUNK`` columns at a time,
@@ -44,10 +44,11 @@ import numpy as np
 
 from .core import MIN_N, RngSpec
 from .errors import InsufficientData, InvalidInput, InvalidLevel, ShapeError
-from .longrun import PLUG_IN_MIN_N, KernelSpec, andrews_bandwidth, \
-    check_bandwidth, kernel_eval, lag_toeplitz, w_diag as w_diag_fn
+from .longrun import PLUG_IN_MIN_N, SCORE_BLOCK, KernelSpec, \
+    andrews_bandwidth, check_bandwidth, multiplier_cov, w_diag as w_diag_fn
 
-DRAW_CHUNK = 256
+# draws per chunk and score columns per block: longrun's one score width
+DRAW_CHUNK = SCORE_BLOCK
 # rows of a projection scaled and reduced at a time, so the scaled copy
 # stays in cache
 _TILE_ROWS = 64
@@ -129,13 +130,6 @@ class BootstrapResult:
         """(1 + #{T* >= T}) / (M + 1) (Phipson & Smyth 2010): never 0."""
         at_least = int(np.count_nonzero(self.stats >= statistic))
         return (1 + at_least) / (self.M + 1)
-
-
-def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
-    """The n x n multiplier covariance A with A[i, j] = K(|i-j|/S_n)."""
-    # A is Toeplitz: evaluate K once per lag, then spread it by |i - j|
-    by_lag = kernel_eval(kernel, np.arange(n) / check_bandwidth(s_n))
-    return lag_toeplitz(by_lag).copy()
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

@@ -137,19 +137,18 @@ def ingest_returns(price_csv, log_returns: bool = True,
     if n_prices < 2:
         raise InvalidInput("need at least two price rows to form returns")
     prices = np.empty((n_prices, len(symbols)))
-    try:
-        for price_row, row in zip(prices, rows):
-            if len(row) != len(symbols):
-                raise ValueError("ragged row")
-            price_row[:] = [float(cell) for cell in row]
-        valid = bool(np.all((prices > 0.0) & (prices < np.inf)))
-    except ValueError:
-        valid = False
-    # on any bad cell, go cell by cell to report the first one
-    for i, row in enumerate([] if valid else rows, start=2):
+    for i, (price_row, row) in enumerate(zip(prices, rows), start=2):
         if len(row) != len(symbols):
             raise MissingValue(f"row {i} has {len(row)} cells, "
                                f"expected {len(symbols)}")
+        try:
+            price_row[:] = values = [float(cell) for cell in row]
+        except ValueError:
+            values = [math.nan]
+        # a nan or inf makes the sum nan or inf; the walk passes an overflow
+        if 0.0 < min(values) and sum(values) < math.inf:
+            continue
+        # go cell by cell to report the row's first bad cell
         for sym, cell in zip(symbols, row):
             cell = cell.strip()
             if cell == "" or cell.upper() == "NA":

@@ -21,12 +21,16 @@ how the scores are read, by one of two routes:
   * columns: otherwise (an ndarray, or a sparse set such as one block pair)
     the columns are read SCORE_BLOCK at a time, and ``w_diag`` takes a
     banded Toeplitz product.
+
+The bootstrap draws read the scores SCORE_BLOCK columns at a time too, and
+their multiplier covariance (``multiplier_cov``) is built from the same lag
+weights, so every kernel weight and score-block width is decided here.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,15 +40,13 @@ from .errors import BandwidthFallback, DegenerateVariance, InsufficientData, \
 QS = "qs"
 BARTLETT = "bartlett"
 
-# the column route of the bandwidth and of w_diag reads this many score
-# columns at a time; the bootstrap draws take DRAW_CHUNK columns instead
-SCORE_BLOCK = 8192
+# score columns read at a time: by the column route of the bandwidth and of
+# w_diag, and by the bootstrap draws (bootstrap.DRAW_CHUNK)
+SCORE_BLOCK = 256
 
 # on the column route w_diag copies its lag-weight matrix out in blocks of
-# TOEPLITZ_ROWS rows (fewer when a block would pass TOEPLITZ_MAX_ENTRIES
-# entries, 32 MB), each cut to the band of lags that carry weight
+# TOEPLITZ_ROWS rows, each cut to the band of lags that carry weight
 TOEPLITZ_ROWS = 64
-TOEPLITZ_MAX_ENTRIES = 2**22
 
 RHO_CLIP = 0.97
 W_FLOOR_EPS = 1e-8
@@ -177,13 +179,11 @@ def andrews_bandwidth(eta, kernel: KernelSpec) -> float:
 
 
 def kernel_lag_weights(kernel: KernelSpec, n: int, s_n: float) -> np.ndarray:
-    """Weights K(k/S_n) for k = 0..n-1, with small values truncated to 0.
-
-    The lag-0 weight is always kept.
-    """
+    """Weights K(k/S_n) for k = 0..n-1; those below truncation_eps in
+    absolute value are set to 0, except the lag-0 weight, which is 1."""
     w = kernel_eval(kernel, np.arange(n) / check_bandwidth(s_n))
     w = np.where(np.abs(w) < kernel.truncation_eps, 0.0, w)
-    w[0] = 1.0
+    w[:1] = 1.0
     return w
 
 
@@ -198,6 +198,12 @@ def lag_toeplitz(w: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1][:n]
 
 
+def multiplier_cov(n: int, s_n: float, kernel: KernelSpec) -> np.ndarray:
+    """The n x n multiplier covariance A[i, j] = K(|i-j|/S_n), untruncated."""
+    exact = replace(kernel, truncation_eps=0.0)
+    return lag_toeplitz(kernel_lag_weights(exact, n, s_n)).copy()
+
+
 def _toeplitz_forms(eta, weights: np.ndarray):
     """(x' T x, x' x) for every column x of eta, T = lag_toeplitz(weights):
     a matrix product per block of SCORE_BLOCK columns and TOEPLITZ_ROWS rows
@@ -206,14 +212,13 @@ def _toeplitz_forms(eta, weights: np.ndarray):
     n, r = eta.shape
     toeplitz = lag_toeplitz(weights)
     reach = int(np.flatnonzero(weights)[-1])
-    chunk = max(1, min(TOEPLITZ_ROWS, TOEPLITZ_MAX_ENTRIES // n))
     quad = np.zeros(r)
     lag0 = np.empty(r)
     for start in range(0, r, SCORE_BLOCK):
         stop = min(start + SCORE_BLOCK, r)
         cols, block = eta[:, start:stop], quad[start:stop]
-        for a in range(0, n, chunk):
-            b = min(a + chunk, n)
+        for a in range(0, n, TOEPLITZ_ROWS):
+            b = min(a + TOEPLITZ_ROWS, n)
             lo, hi = max(0, a - reach), min(n, b + reach)
             t_rows = np.ascontiguousarray(toeplitz[a:b, lo:hi])
             block += (cols[a:b] * (t_rows @ cols[lo:hi])).sum(axis=0)

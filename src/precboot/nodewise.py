@@ -86,7 +86,8 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     # q[i] = C_b @ gamma[i], kept incrementally; C_b is symmetric, so its
     # row j is its column j and row k is the update direction of coordinate k
     q = -gram.reshape(rows_all, p)
-    ckk_all = np.repeat(np.diagonal(gram, axis1=1, axis2=2).T, p, axis=1)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    ckk = np.empty(rows_all)  # C_b[k, k] at each row of sample b
     neg_lambdas = -lambdas
     sweeps = np.zeros(rows_all, dtype=np.int64)
     converged = np.zeros(rows_all, dtype=bool)
@@ -97,7 +98,7 @@ def _cd_lockstep(gram: np.ndarray, lambdas: np.ndarray, tol: float,
     for sweep in range(1, max_iter + 1):
         max_delta.fill(0.0)
         for k in range(p):
-            ckk = ckk_all[k]
+            ckk.reshape(n_b, p)[:] = diag[:, k, None]
             old = gamma[:, k]
             np.subtract(q[:, k], np.multiply(old, ckk, out=partial),
                         out=partial)

@@ -80,12 +80,13 @@ class LazyEta:
         self.shape = (self._eps.shape[0], S.r)
 
     def __getitem__(self, key) -> np.ndarray:
-        every_row, cols = key
-        rows, cols = self._rows[cols], self._cols[cols]
-        if not (isinstance(every_row, slice) and every_row == slice(None)) \
-                or rows.ndim != 1:
+        whole = isinstance(key, tuple) and len(key) == 2 \
+            and isinstance(key[0], slice) and key[0] == slice(None)
+        rows = self._rows[key[1]] if whole else None
+        if rows is None or rows.ndim != 1:
             raise InvalidInput("scores are read as eta[:, cols] with cols a "
                                "slice or an index array")
+        cols = self._cols[key[1]]
         # in place, with the bits of eps[:, rows] * eps[:, cols] - v; the
         # second factor is gathered _PIECE_COLS columns at a time
         out = self._eps[:, rows]

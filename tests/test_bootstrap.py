@@ -420,11 +420,11 @@ class TestKmbDraws:
             assert peak < bound, M
 
     def test_draw_step_is_bounded_by_draw_chunk(self):
-        # the same shape at the default SCORE_BLOCK (8192, a 6.5 MB block of
-        # these scores): on the r >= n route the draws form and project
-        # DRAW_CHUNK columns at a time, so the bound has no SCORE_BLOCK
-        # term, only one formed block and its piece, one projection and one
-        # tile, the draws and the factor, and the length-r vectors
+        # the same shape at the default widths: on the r >= n route the
+        # draws form and project DRAW_CHUNK columns at a time, so the bound
+        # holds only one formed block and its piece, one projection and one
+        # tile, the draws and the factor, and the length-r vectors: under
+        # half of one block of 8192 columns (6.5 MB of these scores)
         n, p = 100, 120
         y = serially_dependent(np.random.default_rng(3), n, p)
         pipe = fit_pipeline(center(Dataset(y)))
@@ -434,7 +434,7 @@ class TestKmbDraws:
         bound = 8 * (n * (DRAW_CHUNK + precision._PIECE_COLS)
                      + (DRAW_CHUNK + bootstrap._TILE_ROWS) * DRAW_CHUNK
                      + n * (M + n) + 8 * S.r)
-        assert bound < n * longrun.SCORE_BLOCK * 8 / 2
+        assert bound < n * 8192 * 8 / 2
         tracemalloc.start()
         try:
             eta, h = pipe.scores(S)
@@ -471,6 +471,16 @@ class TestKmbDraws:
     def test_invalid_bandwidth(self, bandwidth):
         with pytest.raises(InvalidInput):
             BootstrapConfig(rng=RngSpec(0), bandwidth=bandwidth)
+
+    def test_no_draws(self):
+        with pytest.raises(InvalidInput, match="^M must be >= 1$"):
+            BootstrapConfig(rng=RngSpec(0), M=0)
+
+    def test_no_score_columns(self):
+        cfg = BootstrapConfig(rng=RngSpec(0), M=10, bandwidth=2.0)
+        with pytest.raises(InvalidInput,
+                           match="^need at least one score column$"):
+            kmb_draws(np.empty((20, 0)), np.empty(0), cfg)
 
 
 class TestQuantile:

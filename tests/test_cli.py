@@ -1,14 +1,15 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from precboot import RngSpec, fit_pipeline
-from precboot.cli import build_parser, ingest_returns, main, \
-    parse_index_set
+from precboot.cli import UserError, _load_dataset, build_parser, \
+    ingest_returns, main, parse_index_set
 from precboot.core import Dataset
 from precboot.errors import InvalidPrice, MissingValue
 from precboot.simulate import DgpSpec, generate
@@ -725,3 +726,74 @@ class TestBadNumericCells:
             capsys, ["test", "--data", path, "--set", "offdiag", "--c-file",
                      cfile, "--boot-M", "10", "--out", tmp_path / "o"],
             str(cfile), "row 6")
+
+
+class TestInputChecks:
+    """Each check of the inputs that a command makes: exit 1 with its
+    message, and no file written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["recover", "--data", "empty.csv", "--set", "offdiag"],
+         "empty.csv: empty file"),
+        (["estimate", "--prices", "one-day.csv"],
+         "need at least two price rows to form returns"),
+        (["estimate", "--prices", "one-moving.csv"],
+         "fewer than two usable columns after ingestion"),
+        (["estimate"], "provide --data or --prices"),
+        (["recover", "--set", "offdiag", "1"], "offdiag takes no arguments"),
+        (["recover", "--set", "zeros-of"],
+         "zeros-of needs one file argument"),
+        (["recover", "--set", "zeros-of", "two-by-two.csv"],
+         "zeros-of matrix must be 8 x 8"),
+        (["recover", "--set", "zeros-of", "ones.csv"],
+         "zeros-of matrix has no off-diagonal zeros"),
+        (["recover", "--set", "band-outside"],
+         "band-outside needs one integer argument"),
+        (["recover", "--set", "band-outside", "7"],
+         "band-outside 7 selects no pairs at p = 8"),
+        (["recover", "--set", "pairs"], "pairs needs one file argument"),
+        (["recover", "--prices", "prices.csv", "--group-map", "groups.csv",
+          "--set", "block", "g1"], "block needs two group labels"),
+        (["recover", "--prices", "prices.csv", "--group-map", "groups.csv",
+          "--set", "block", "g1", "g9"], "unknown group label(s): g9"),
+        (["recover", "--set", "offdiag", "--bandwidth", "wide"],
+         "--bandwidth must be 'auto' or a positive real"),
+    ], ids=["empty-file", "one-price-row", "one-usable-column", "no-data",
+            "offdiag-arguments", "zeros-of-arity", "zeros-of-shape",
+            "zeros-of-no-zeros", "band-outside-arity", "band-outside-empty",
+            "pairs-arity", "block-arity", "block-unknown-label",
+            "bandwidth-not-a-number"])
+    def test_exits_1_with_message(self, tmp_path, data_csv, capsys,
+                                  monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        two_group_prices(tmp_path)
+        (tmp_path / "empty.csv").write_text("\n\n")
+        (tmp_path / "one-day.csv").write_text("A,B\n1,2\n")
+        (tmp_path / "one-moving.csv").write_text(
+            "A,B\n1,2\n2,2\n1,2\n3,2\n2,2\n4,2\n")
+        (tmp_path / "two-by-two.csv").write_text("1,0\n0,1\n")
+        (tmp_path / "ones.csv").write_text("1,1,1,1,1,1,1,1\n" * 8)
+        source = [] if "--data" in argv or "--prices" in argv \
+            or argv == ["estimate"] else ["--data", data_csv[0]]
+        before = sorted(tmp_path.rglob("*"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped constant column
+            code = run_cli([*argv, *source, "--boot-M", "10",
+                            "--out", "out.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_empty_set_specification(self):
+        with pytest.raises(UserError, match="^empty --set specification$"):
+            parse_index_set([], 8)
+
+    def test_simple_returns(self, tmp_path):
+        path, _ = two_group_prices(tmp_path)
+        prices = np.array(list(csv.reader(open(path)))[1:], dtype=float)
+        args = build_parser().parse_args(
+            ["estimate", "--prices", str(path), "--simple-returns",
+             "--no-standardize", "--out", str(tmp_path / "o.csv")])
+        data, _ = _load_dataset(args)
+        np.testing.assert_array_equal(data.values,
+                                      prices[1:] / prices[:-1] - 1.0)

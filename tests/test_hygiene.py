@@ -262,18 +262,23 @@ RNG_CONSTRUCTORS = {"SeedSequence", "default_rng", "Generator", "PCG64",
                     "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState"}
 
 
-def rng_constructions(source: str):
-    """The NumPy RNG constructors that a module calls, by name or as an
-    attribute (``np.random.default_rng(...)``)."""
+def called_names(source: str, names):
+    """The ``names`` that a module calls, by name or as an attribute
+    (``np.random.default_rng(...)``)."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
-            if name in RNG_CONSTRUCTORS:
+            if name in names:
                 found.add(name)
     return found
+
+
+def rng_constructions(source: str):
+    """The NumPy RNG constructors that a module calls."""
+    return called_names(source, RNG_CONSTRUCTORS)
 
 
 class TestRngConstruction:
@@ -294,3 +299,57 @@ class TestRngConstruction:
                  for path in sorted(PACKAGE.glob("*.py"))}
         assert found.pop("core.py") == {"Generator", "PCG64"}
         assert {name: f for name, f in found.items() if f} == {}
+
+
+
+def assigned_values(tree, target: str):
+    """The values of a module's top-level assignments to ``target``."""
+    return [node.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == target
+                    for t in node.targets)]
+
+
+def imported_value(source: str, target: str):
+    """(module, name) when a module's one top-level assignment of ``target``
+    reads a name that ``from .module import name`` binds, else None (a
+    literal, an expression, or no single assignment)."""
+    tree = ast.parse(source)
+    imports = {alias.asname or alias.name: (node.module, alias.name)
+               for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names}
+    values = assigned_values(tree, target)
+    if len(values) != 1 or not isinstance(values[0], ast.Name):
+        return None
+    return imports.get(values[0].id)
+
+
+class TestKernelWeightLayering:
+    # the kernel weights of w_diag and of the multiplier covariance, and the
+    # width at which scores are read, are decided in longrun alone
+    def test_checkers(self):
+        source = ("from . import longrun\n"
+                  "from .longrun import kernel_eval, WIDTH as W\n"
+                  "CHUNK = W\n"
+                  "OTHER = 256\n"
+                  "def f(k, u):\n"
+                  "    return longrun.kernel_eval(k, u)\n")
+        assert called_names(source, {"kernel_eval"}) == {"kernel_eval"}
+        assert called_names("from .longrun import kernel_eval\n",
+                            {"kernel_eval"}) == set()
+        assert imported_value(source, "CHUNK") == ("longrun", "WIDTH")
+        assert imported_value(source, "OTHER") is None
+        assert imported_value(source + "CHUNK = 8\n", "CHUNK") is None
+
+    def test_only_longrun_evaluates_the_kernel(self):
+        callers = {path.name for path in sorted(PACKAGE.glob("*.py"))
+                   if called_names(path.read_text(), {"kernel_eval"})}
+        assert callers == {"longrun.py"}
+
+    def test_draw_chunk_is_longrun_score_block(self):
+        longrun = ast.parse((PACKAGE / "longrun.py").read_text())
+        widths = assigned_values(longrun, "SCORE_BLOCK")
+        assert len(widths) == 1 and isinstance(widths[0], ast.Constant)
+        bootstrap = (PACKAGE / "bootstrap.py").read_text()
+        assert imported_value(bootstrap, "DRAW_CHUNK") == \
+            ("longrun", "SCORE_BLOCK")

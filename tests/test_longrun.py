@@ -50,6 +50,11 @@ class TestKernelEval:
         with pytest.raises(InvalidInput):
             KernelSpec(kind="tukey")
 
+    def test_negative_truncation(self):
+        with pytest.raises(InvalidInput,
+                           match="^truncation_eps must be >= 0$"):
+            KernelSpec(truncation_eps=-1)
+
 
 class TestBandwidth:
     def test_no_persistence_hits_lower_clip(self, monkeypatch):
@@ -275,6 +280,35 @@ class TestWDiag:
             np.testing.assert_array_equal(got, want)
             assert rise < 5 * 8 * eta.shape[1]
 
+    def test_column_route_working_set(self):
+        # one 30 x 30 block pair, n = 200: r = 900 pairs of 60 variables is
+        # sparse, so the scores are read by columns. The bandwidth and
+        # w_diag each hold a few n x SCORE_BLOCK blocks (a formed block,
+        # its demeaned copy or banded product) and a few r-vectors, not
+        # all 900 columns at once (3.0 MB traced)
+        from precboot import center, fit_pipeline, longrun
+        from precboot.core import Dataset, index_set_from_blocks
+
+        n = 200
+        y = np.random.default_rng(4).standard_normal((n, 60))
+        y[1:] += 0.5 * y[:-1]
+        pipe = fit_pipeline(center(Dataset(y)))
+        groups = {"a": list(range(1, 31)), "b": list(range(31, 61))}
+        eta, h = pipe.scores(index_set_from_blocks(groups, ("a", "b")))
+        assert eta.shape == (n, 900) and _gram_inputs(eta) is None
+        bound = 8 * (3 * n * longrun.SCORE_BLOCK + 8 * eta.shape[1])
+        assert bound < 8 * n * eta.shape[1]  # all scores at once
+        for spec in (QS, BART):
+            for read in (lambda: andrews_bandwidth(eta, spec),
+                         lambda: w_diag(eta, h, 2.0, spec)):
+                tracemalloc.start()
+                try:
+                    read()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound
+
 
 def direct_w(eta, h, s_n, spec):
     """h_l^2 (1/n) sum over |k| < n of K(k/S_n) sum_t x_{t,l} x_{t-|k|,l},
@@ -306,7 +340,7 @@ class TestWDiagOracle:
         import precboot.longrun as lr
         eta = rng.standard_normal((150, 5))
         h = rng.uniform(0.5, 2.0, 5)
-        monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", 150 * 7)
+        monkeypatch.setattr(lr, "TOEPLITZ_ROWS", 7)
         for s_n in (1.0, 2.7, 40.0):
             np.testing.assert_allclose(w_diag(eta, h, s_n, spec),
                                        direct_w(eta, h, s_n, spec),
@@ -382,7 +416,7 @@ def index_w_diag(eta, h_diag, s_n, kernel):
     n, r = eta.shape
     weights = kernel_lag_weights(kernel, n, s_n)
     reach = int(np.flatnonzero(weights)[-1])
-    chunk = max(1, min(lr.TOEPLITZ_ROWS, lr.TOEPLITZ_MAX_ENTRIES // n))
+    chunk = lr.TOEPLITZ_ROWS
     quad = np.zeros(r)
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
@@ -463,17 +497,17 @@ class TestLagToeplitz:
     @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
     def test_w_diag_bitwise_row_chunks(self, rng, monkeypatch, spec):
         import precboot.longrun as lr
-        monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", 150 * 7)
+        monkeypatch.setattr(lr, "TOEPLITZ_ROWS", 7)
         eta = ar1_scores(rng, 150, 9)
         h = rng.uniform(0.5, 2.0, 9)
         for s_n in (1.0, 2.7, 60.0):
             np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
                                           index_w_diag(eta, h, s_n, spec))
 
-    @pytest.mark.parametrize("max_entries", [None, 150 * 7],
+    @pytest.mark.parametrize("rows", [None, 7],
                              ids=["one-chunk", "row-chunks"])
     def test_w_diag_copies_rows_before_product(self, rng, monkeypatch,
-                                               max_entries):
+                                               rows):
         # a product with the negative-stride view itself may leave BLAS on
         # some NumPy versions and change the bits, so every row chunk must
         # be copied to C order first
@@ -481,8 +515,8 @@ class TestLagToeplitz:
         view = lr.lag_toeplitz
         monkeypatch.setattr(lr, "lag_toeplitz",
                             lambda w: view(w).view(NoProduct))
-        if max_entries is not None:
-            monkeypatch.setattr(lr, "TOEPLITZ_MAX_ENTRIES", max_entries)
+        if rows is not None:
+            monkeypatch.setattr(lr, "TOEPLITZ_ROWS", rows)
         with pytest.raises(AssertionError):
             lr.lag_toeplitz(np.ones(4))[1:3] @ np.ones(4)
         eta = ar1_scores(rng, 150, 9)

@@ -419,9 +419,10 @@ class TestGramStack:
 
     def test_working_set_of_a_batch(self, rng):
         # B = 30 samples at the desk shape: above its inputs the solve holds
-        # the Gram stack, gamma, q, the diagonals spread per row and the
-        # update of one coordinate step, each at most B p^2 floats; two
-        # transposed copies of the stack would exceed the bound
+        # the Gram stack, gamma, q and the update of one coordinate step,
+        # each at most B p^2 floats, and a few B p-vectors; a copy of the
+        # stack, such as its diagonals spread per row, would exceed the
+        # bound
         n_b, n, p = 30, 150, 50
         samples = [make_centered(rng.standard_normal((n, p)))
                    for _ in range(n_b)]
@@ -434,4 +435,4 @@ class TestGramStack:
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rise < 5 * n_b * p * p * 8
+        assert rise < 4 * n_b * p * p * 8

@@ -161,6 +161,11 @@ class TestGenerate:
         with pytest.raises(InvalidInput):
             DgpSpec("C", 5, 0.0, 50, RngSpec(0))
 
+    def test_structure_b_needs_multiple_of_five(self):
+        with pytest.raises(InvalidDimension,
+                           match="^structure B needs p divisible by 5$"):
+            DgpSpec("B", 12, 0.0, 50, RngSpec(0))
+
 
 class TestCoverageExperiment:
     def small_cfg(self, M=20):
@@ -199,6 +204,13 @@ class TestCoverageExperiment:
         a = coverage_experiment(dgp, "zeros", threads=1, **kwargs)
         b = coverage_experiment(dgp, "zeros", threads=8, **kwargs)
         assert a.mean == b.mean and a.sd == b.sd
+
+    def test_no_replicates(self):
+        dgp = DgpSpec("A", 5, 0.0, 50, RngSpec(4, "dgp"))
+        with pytest.raises(InvalidInput, match="^replicates and truth_reps "
+                                               "must be >= 1$"):
+            coverage_experiment(dgp, "zeros", replicates=0,
+                                boot_cfg=self.small_cfg(), truth_reps=3)
 
     def test_programming_error_propagates(self, monkeypatch):
         import precboot.simulate as sim
