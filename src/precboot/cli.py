@@ -1,6 +1,7 @@
 """Command-line surface: data ingestion, pipeline execution, simulation
 harness and report emission. The library returns objects; this module alone
-reads and writes files.
+reads and writes files. Input files are read row by row: each row is
+checked and converted to numbers as it arrives, so no file is held as text.
 
 Every run writes its primary output as CSV (or JSON for single test
 outcomes) plus a ``<out>.manifest.json`` holding every parsed argument of
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from array import array
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -48,13 +50,23 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # files and returns ingestion
 
-def _read_csv(path) -> List[List[str]]:
-    """The non-blank rows of a CSV file; an empty file is a user error."""
+def _rows(path):
+    """The non-blank rows of a CSV file as lists of cells, read one at a
+    time; an empty file is a user error."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise UserError(f"{path}: empty file")
-    return rows
+        rows = filter(None, csv.reader(fh))
+        first = next(rows, None)
+        if first is None:
+            raise UserError(f"{path}: empty file")
+        yield first
+        yield from rows
+
+
+def _count(rows) -> int:
+    """The number of rows left, read to the end: an error path reads the
+    rest of its file first, so that a file that cannot be read (a bad
+    encoding, malformed CSV) fails as that before any row's error."""
+    return sum(1 for _ in rows)
 
 
 class _Outputs:
@@ -110,18 +122,81 @@ def _num(x) -> str:
     return f"{x:.17g}"
 
 
-def _numbers(path, rows, convert=float) -> np.ndarray:
-    """The cells of CSV rows as a numeric matrix; a bad cell is a user error
-    that names the file and row (rows counted from 1, blank lines skipped)."""
-    out = []
+def _numbers(path, cells=None) -> np.ndarray:
+    """The first ``cells`` cells (every cell by default) of each row of a CSV
+    file as a float matrix, each row converted as it is read. A bad cell is
+    a user error that names the file and row (rows counted from 1, blank
+    lines skipped); rows of different lengths are one too, once every row
+    has been converted."""
+    flat, widths = array("d"), set()
+    rows = _rows(path)
     for i, row in enumerate(rows, start=1):
+        row = row[:cells]
         try:
-            out.append([convert(c) for c in row])
+            flat.extend(map(float, row))
         except ValueError as exc:
+            _count(rows)
             raise UserError(f"{path}: row {i}: {exc}") from None
-    if len({len(row) for row in out}) > 1:
+        widths.add(len(row))
+    if len(widths) > 1:
         raise UserError(f"{path}: rows have different numbers of cells")
-    return np.array(out)
+    return np.frombuffer(flat).reshape(-1, widths.pop())
+
+
+def _pairs(path, p: int) -> np.ndarray:
+    """The 1-based (j1, j2) index pairs of a CSV file, the first two cells of
+    each row, converted as each row is read. In order of precedence, a row
+    of fewer than two cells, a bad cell and an index outside 1..p are user
+    errors."""
+    flat, outside = array("q"), False
+    short = UserError(f"{path}: every row needs two indices")
+    rows = _rows(path)
+    for i, row in enumerate(rows, start=1):
+        if len(row) < 2:
+            _count(rows)
+            raise short
+        try:
+            pair = [int(c) for c in row[:2]]
+        except ValueError as exc:
+            if min(map(len, rows), default=2) < 2:
+                raise short from None
+            raise UserError(f"{path}: row {i}: {exc}") from None
+        if all(1 <= j <= p for j in pair):
+            flat.extend(pair)
+        else:
+            outside = True
+    if outside:
+        raise UserError(f"{path}: indices must be in 1..{p}")
+    return np.frombuffer(flat, np.int64).reshape(-1, 2)
+
+
+def _price_row(path, symbols, i, row) -> List[float]:
+    """Row i of a price file as floats, or the error of its first bad cell:
+    a missing, non-numeric, non-positive or non-finite price."""
+    if len(row) != len(symbols):
+        raise MissingValue(f"row {i} has {len(row)} cells, "
+                           f"expected {len(symbols)}")
+    try:
+        values = [float(cell) for cell in row]
+    except ValueError:
+        values = [math.nan]
+    # a nan or inf makes the sum nan or inf; the walk passes an overflow
+    if 0.0 < min(values) and sum(values) < math.inf:
+        return values
+    # go cell by cell to report the row's first bad cell
+    for sym, cell in zip(symbols, row):
+        cell = cell.strip()
+        if cell == "" or cell.upper() == "NA":
+            raise MissingValue(f"missing price at row {i}, symbol {sym}")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise UserError(f"{path}: row {i}, symbol {sym}: "
+                            f"not a number: {cell!r}") from None
+        if not 0.0 < value < math.inf:
+            kind = "non-positive" if value <= 0.0 else "non-finite"
+            raise InvalidPrice(f"{kind} price at row {i}, symbol {sym}")
+    return values
 
 
 def ingest_returns(price_csv, log_returns: bool = True,
@@ -131,46 +206,33 @@ def ingest_returns(price_csv, log_returns: bool = True,
     Returns (Dataset, groups, kept_symbols); groups maps labels to 1-based
     column indices of the returned matrix and is empty without a group map.
     """
-    header, *rows = _read_csv(price_csv)
-    symbols = [c.strip() for c in header]
-    n_prices = len(rows)
-    if n_prices < 2:
-        raise InvalidInput("need at least two price rows to form returns")
-    prices = np.empty((n_prices, len(symbols)))
-    for i, (price_row, row) in enumerate(zip(prices, rows), start=2):
-        if len(row) != len(symbols):
-            raise MissingValue(f"row {i} has {len(row)} cells, "
-                               f"expected {len(symbols)}")
+    rows = _rows(price_csv)
+    symbols = [c.strip() for c in next(rows)]
+    flat = array("d")
+    for i, row in enumerate(rows, start=2):
         try:
-            price_row[:] = values = [float(cell) for cell in row]
-        except ValueError:
-            values = [math.nan]
-        # a nan or inf makes the sum nan or inf; the walk passes an overflow
-        if 0.0 < min(values) and sum(values) < math.inf:
-            continue
-        # go cell by cell to report the row's first bad cell
-        for sym, cell in zip(symbols, row):
-            cell = cell.strip()
-            if cell == "" or cell.upper() == "NA":
-                raise MissingValue(f"missing price at row {i}, symbol {sym}")
-            try:
-                value = float(cell)
-            except ValueError:
-                raise UserError(f"{price_csv}: row {i}, symbol {sym}: "
-                                f"not a number: {cell!r}") from None
-            if not 0.0 < value < math.inf:
-                kind = "non-positive" if value <= 0.0 else "non-finite"
-                raise InvalidPrice(f"{kind} price at row {i}, symbol {sym}")
+            flat.extend(_price_row(price_csv, symbols, i, row))
+        except (UserError, PrecbootError):
+            if i - 1 + _count(rows) >= 2:
+                raise
+            break  # too few rows comes first
+    prices = np.frombuffer(flat).reshape(-1, len(symbols))
+    if prices.shape[0] < 2:
+        raise InvalidInput("need at least two price rows to form returns")
 
+    # the returns overwrite all rows but the last of the prices
+    returns = prices[:-1]
     if log_returns:
-        returns = np.diff(np.log(prices), axis=0)
+        np.log(prices, out=prices)
+        np.subtract(prices[1:], returns, out=returns)
     else:
-        returns = prices[1:] / prices[:-1] - 1.0
+        np.divide(prices[1:], returns, out=returns)
+        returns -= 1.0
 
     keep = np.ones(returns.shape[1], dtype=bool)
     if group_map is not None:
         group_of = {row[0].strip(): row[1].strip()
-                    for row in _read_csv(group_map) if len(row) >= 2}
+                    for row in _rows(group_map) if len(row) >= 2}
         for j, sym in enumerate(symbols):
             label = group_of.get(sym, "NA")
             if label.upper() == "NA":
@@ -189,10 +251,12 @@ def ingest_returns(price_csv, log_returns: bool = True,
             keep &= ~constant
         mean = returns.mean(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            returns = (returns - mean) / sd
+            returns -= mean
+            returns /= sd
 
     kept = [symbols[j] for j in range(len(symbols)) if keep[j]]
-    returns = returns[:, keep]
+    if not keep.all():
+        returns = returns[:, keep]
     if returns.shape[1] < 2:
         raise InvalidInput("fewer than two usable columns after ingestion")
 
@@ -212,7 +276,7 @@ def _load_dataset(args):
             args.prices, log_returns=not args.simple_returns,
             standardize=not args.no_standardize, group_map=args.group_map)[:2]
     if args.data:
-        return Dataset(_numbers(args.data, _read_csv(args.data))), {}
+        return Dataset(_numbers(args.data)), {}
     raise UserError("provide --data or --prices")
 
 
@@ -233,7 +297,7 @@ def parse_index_set(tokens: List[str], p: int,
     if head == "zeros-of":
         if len(rest) != 1:
             raise UserError("zeros-of needs one file argument")
-        mat = _numbers(rest[0], _read_csv(rest[0]))
+        mat = _numbers(rest[0])
         if mat.shape != (p, p):
             raise UserError(f"zeros-of matrix must be {p} x {p}")
         mask = (mat == 0.0) & ~np.eye(p, dtype=bool)
@@ -258,13 +322,7 @@ def parse_index_set(tokens: List[str], p: int,
     if head == "pairs":
         if len(rest) != 1:
             raise UserError("pairs needs one file argument")
-        rows = _read_csv(rest[0])
-        if any(len(row) < 2 for row in rows):
-            raise UserError(f"{rest[0]}: every row needs two indices")
-        pairs = _numbers(rest[0], [row[:2] for row in rows], int)
-        if pairs.min() < 1 or pairs.max() > p:
-            raise UserError(f"{rest[0]}: indices must be in 1..{p}")
-        return IndexSet(pairs)
+        return IndexSet(_pairs(rest[0], p))
     if head == "block":
         if len(rest) != 2:
             raise UserError("block needs two group labels")
@@ -383,8 +441,7 @@ def _cmd_test(args, out: _Outputs) -> int:
     if args.zero:
         c = np.zeros(S.r)
     else:
-        rows = _read_csv(args.c_file)
-        c = _numbers(args.c_file, [row[:1] for row in rows])[:, 0]
+        c = _numbers(args.c_file, cells=1)[:, 0]
         if c.shape != (S.r,):
             raise UserError(f"c-vector length {c.size} != |S| = {S.r}")
         if not np.all(np.isfinite(c)):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -330,5 +329,8 @@ def map_ordered(fn, items, threads: int) -> list:
     threads > 1; the results keep the order of ``items``."""
     if threads <= 1:
         return [fn(item) for item in items]
+    # imported only here: the pool's modules (logging and queue among
+    # them) take about 0.6 MB that a one-thread run need not hold
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

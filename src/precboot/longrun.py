@@ -109,17 +109,48 @@ def _gram_ar1_sums(e, a, b):
     """For the pairs (a, b) of columns of E and z_t = y_t - mean(y) (the
     demeaned score): (sum_{t < n-1} z_t^2, sum_t z_t z_{t+1},
     sum_{t > 0} z_t^2), from the lag-0 and lag-1 Grams, E' E and the first
-    and last rows of E."""
+    and last rows of E. Each |U| x |U| Gram is gathered at [a, b] and
+    dropped before the next is formed, and the terms are applied in place
+    with the bits of the plain expressions, so a few r-vectors are held at
+    a time."""
     n = e.shape[0]
-    p0, p1 = e * e, e[:-1] * e[1:]
-    g0, g1, total = p0.T @ p0, p1.T @ p1, e.T @ e
-    first, last = np.outer(e[0], e[0]), np.outer(e[-1], e[-1])
+
+    def product(t):  # y_t of every pair
+        out = e[t, a]
+        out *= e[t, b]
+        return out
+
+    total = (e.T @ e)[a, b]
+    p = e[:-1] * e[1:]
+    lag1 = (p.T @ p)[a, b]
+    del p
+    # lag1 = g1 - mean (2 total - first - last) + shared
     mean = total / n
-    shared = (n - 1) * mean * mean
-    head = g0 - last * last - 2.0 * mean * (total - last) + shared
-    lag1 = g1 - mean * (2.0 * total - first - last) + shared
-    tail = g0 - first * first - 2.0 * mean * (total - first) + shared
-    return head[a, b], lag1[a, b], tail[a, b]
+    term = 2.0 * total
+    term -= product(0)
+    term -= product(-1)
+    term *= mean
+    lag1 -= term
+    shared = np.multiply(n - 1, mean, out=term)  # (n - 1) mean^2
+    shared *= mean
+    lag1 += shared
+    twice_mean = np.multiply(2.0, mean, out=mean)
+    p = e * e
+    gram = p.T @ p
+    del p
+    head, tail = gram[a, b], gram[a, b]
+    del gram
+    # head = g0 - last^2 - 2 mean (total - last) + shared; tail with first
+    for form, t in ((head, -1), (tail, 0)):
+        edge = product(t)
+        spread = total - edge
+        edge *= edge
+        form -= edge
+        spread *= twice_mean
+        form -= spread
+        form += shared
+        del edge, spread
+    return head, lag1, tail
 
 
 def _ar1_summaries(eta):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -758,11 +759,26 @@ class TestInputChecks:
           "--set", "block", "g1", "g9"], "unknown group label(s): g9"),
         (["recover", "--set", "offdiag", "--bandwidth", "wide"],
          "--bandwidth must be 'auto' or a positive real"),
+        # checks that read the whole file come before a row's error
+        (["estimate", "--prices", "one-bad-day.csv"],
+         "need at least two price rows to form returns"),
+        (["recover", "--set", "pairs", "bad-then-short.csv"],
+         "bad-then-short.csv: every row needs two indices"),
+        (["estimate", "--data", "ragged-then-bad.csv"],
+         "ragged-then-bad.csv: row 3: could not convert string to float: "
+         "'x'"),
+        # blank lines are not rows
+        (["estimate", "--data", "blank-lines.csv"],
+         "blank-lines.csv: row 2: could not convert string to float: 'q'"),
+        (["estimate", "--prices", "blank-price-lines.csv"],
+         "non-positive price at row 3, symbol B"),
     ], ids=["empty-file", "one-price-row", "one-usable-column", "no-data",
             "offdiag-arguments", "zeros-of-arity", "zeros-of-shape",
             "zeros-of-no-zeros", "band-outside-arity", "band-outside-empty",
             "pairs-arity", "block-arity", "block-unknown-label",
-            "bandwidth-not-a-number"])
+            "bandwidth-not-a-number", "one-bad-price-row",
+            "pairs-bad-cell-then-short-row", "ragged-then-bad-cell",
+            "blank-data-lines", "blank-price-lines"])
     def test_exits_1_with_message(self, tmp_path, data_csv, capsys,
                                   monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -773,6 +789,12 @@ class TestInputChecks:
             "A,B\n1,2\n2,2\n1,2\n3,2\n2,2\n4,2\n")
         (tmp_path / "two-by-two.csv").write_text("1,0\n0,1\n")
         (tmp_path / "ones.csv").write_text("1,1,1,1,1,1,1,1\n" * 8)
+        (tmp_path / "one-bad-day.csv").write_text("A,B\nx,2\n")
+        (tmp_path / "bad-then-short.csv").write_text("1,2\n1,y\n3\n")
+        (tmp_path / "ragged-then-bad.csv").write_text("1,2\n3,4,5\n6,x\n")
+        (tmp_path / "blank-lines.csv").write_text("\n1,2\n\n\n3,q\n")
+        (tmp_path / "blank-price-lines.csv").write_text(
+            "A,B\n\n1,2\n\n2,0\n3,1\n")
         source = [] if "--data" in argv or "--prices" in argv \
             or argv == ["estimate"] else ["--data", data_csv[0]]
         before = sorted(tmp_path.rglob("*"))
@@ -797,3 +819,33 @@ class TestInputChecks:
         data, _ = _load_dataset(args)
         np.testing.assert_array_equal(data.values,
                                       prices[1:] / prices[:-1] - 1.0)
+
+
+class TestRowByRowReading:
+    @pytest.mark.parametrize("flag", ["--data", "--prices"])
+    def test_working_set(self, tmp_path, flag):
+        # 2,000 rows of 100 cells: each row is converted as it is read, so
+        # no file is held as text (about 14 times the n x p floats) and
+        # the returns overwrite the prices in place
+        n, p = 2000, 100
+        values = np.random.default_rng(8).standard_normal((n, p))
+        path = tmp_path / "in.csv"
+        if flag == "--data":
+            write_data_csv(path, values)
+        else:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"S{j}" for j in range(p)])
+                writer.writerows(
+                    [f"{x:.17g}" for x in row]
+                    for row in 100.0 * np.exp(np.cumsum(0.01 * values, 0)))
+        args = build_parser().parse_args(
+            ["estimate", flag, str(path), "--out", str(tmp_path / "o.csv")])
+        tracemalloc.start()
+        try:
+            data, _ = _load_dataset(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.values.shape == (n - (flag == "--prices"), p)
+        assert peak < 4 * 8 * n * p

@@ -1,5 +1,9 @@
 """Source hygiene of the package, checked with the standard library only."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -353,3 +357,37 @@ class TestKernelWeightLayering:
         bootstrap = (PACKAGE / "bootstrap.py").read_text()
         assert imported_value(bootstrap, "DRAW_CHUNK") == \
             ("longrun", "SCORE_BLOCK")
+
+
+POOL_MODULES = ("concurrent.futures", "logging", "queue")
+
+# run in a fresh interpreter: the pool's modules before and after one call
+# of map_ordered on two threads, whose items finish in reverse order
+POOL_PROBE = f"""
+import json, sys, time
+import precboot.cli
+from precboot.core import map_ordered
+before = [m for m in {POOL_MODULES!r} if m in sys.modules]
+
+def late_first(k):
+    time.sleep(0.02 * (3 - k))
+    return k * k
+results = map_ordered(late_first, range(4), 2)
+after = [m for m in {POOL_MODULES!r} if m in sys.modules]
+print(json.dumps([before, results, after]))
+"""
+
+
+class TestLazyThreadPool:
+    # the thread pool's modules take about 0.6 MB of a process, so they
+    # load only when a command runs with --threads > 1
+    def test_pool_loads_on_demand_and_keeps_item_order(self):
+        probe = subprocess.run(
+            [sys.executable, "-c", POOL_PROBE], capture_output=True,
+            text=True, timeout=120, cwd=PACKAGE.parent,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        assert probe.returncode == 0, probe.stderr
+        before, results, after = json.loads(probe.stdout)
+        assert before == []
+        assert results == [0, 1, 4, 9]
+        assert "concurrent.futures" in after

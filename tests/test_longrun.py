@@ -126,6 +126,45 @@ class TestBandwidth:
                 assert andrews_bandwidth(shuffled, spec) == pytest.approx(
                     want, rel=1e-12)
 
+    def test_gram_route_working_set(self):
+        # p = 120 offdiag, n = 100: r = 14,280, about |U|^2, so an r-vector
+        # and a |U| x |U| Gram are each 0.11 MB. Above its inputs (the
+        # scores' gram_inputs(), built beforehand) the plug-in gathers E,
+        # n x |U|, forms one Gram at a time and applies the terms of its
+        # sums in place, about 9 r-vectors at the peak; with every Gram
+        # and term a fresh matrix it rose about 15.6. The sums keep the
+        # bits of the plain expressions
+        from precboot import center, fit_pipeline
+        from precboot.core import Dataset, index_set_all_offdiag
+        from precboot.longrun import _gram_ar1_sums
+
+        y = np.random.default_rng(3).standard_normal((100, 120))
+        y[1:] += 0.5 * y[:-1]
+        pipe = fit_pipeline(center(Dataset(y)))
+        eta, _ = pipe.scores(index_set_all_offdiag(120))
+        offer = eta.gram_inputs()
+
+        class Offered:  # the same scores, their inputs already built
+            shape = eta.shape
+
+            def gram_inputs(self):
+                return offer
+        e, a, b, _ = _gram_inputs(Offered())
+        for got, want in zip(_gram_ar1_sums(e, a, b),
+                             plain_gram_ar1_sums(e, a, b)):
+            np.testing.assert_array_equal(got, want)
+        for spec in (QS, BART):
+            want = andrews_bandwidth(eta, spec)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = andrews_bandwidth(Offered(), spec)
+                rise = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert rise < 10 * 8 * eta.shape[1]
+
     def test_invariant_to_column_order_on_column_route(self, rng,
                                                        monkeypatch):
         from precboot import longrun
@@ -431,6 +470,21 @@ def index_w_diag(eta, h_diag, s_n, kernel):
     return np.where(w <= 0.0, floor, w)
 
 
+def plain_gram_ar1_sums(e, a, b):
+    """_gram_ar1_sums with every Gram and term a fresh |U| x |U| matrix,
+    gathered at [a, b] at the end."""
+    n = e.shape[0]
+    p0, p1 = e * e, e[:-1] * e[1:]
+    g0, g1, total = p0.T @ p0, p1.T @ p1, e.T @ e
+    first, last = np.outer(e[0], e[0]), np.outer(e[-1], e[-1])
+    mean = total / n
+    shared = (n - 1) * mean * mean
+    head = g0 - last * last - 2.0 * mean * (total - last) + shared
+    lag1 = g1 - mean * (2.0 * total - first - last) + shared
+    tail = g0 - first * first - 2.0 * mean * (total - first) + shared
+    return head[a, b], lag1[a, b], tail[a, b]
+
+
 def broadcast_ar1_summaries(eta):
     """_ar1_summaries as a chain of broadcast temporaries over all r columns
     at once: the demeaned (head, lag-1, tail) sums, then
@@ -487,7 +541,10 @@ class TestLagToeplitz:
         assert not t.flags.writeable
 
     @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
-    def test_w_diag_bitwise_one_chunk(self, rng, spec):
+    def test_w_diag_bitwise_one_chunk(self, rng, monkeypatch, spec):
+        # TOEPLITZ_ROWS >= n: the whole of T is one row block
+        import precboot.longrun as lr
+        monkeypatch.setattr(lr, "TOEPLITZ_ROWS", 150)
         eta = ar1_scores(rng, 150, 30)
         h = rng.uniform(0.5, 2.0, 30)
         for s_n in (1.0, 2.7, 60.0):
@@ -496,16 +553,20 @@ class TestLagToeplitz:
 
     @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
     def test_w_diag_bitwise_row_chunks(self, rng, monkeypatch, spec):
+        # 7-row blocks, then the default TOEPLITZ_ROWS, three blocks at
+        # n = 150
         import precboot.longrun as lr
-        monkeypatch.setattr(lr, "TOEPLITZ_ROWS", 7)
-        eta = ar1_scores(rng, 150, 9)
-        h = rng.uniform(0.5, 2.0, 9)
-        for s_n in (1.0, 2.7, 60.0):
-            np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
-                                          index_w_diag(eta, h, s_n, spec))
+        assert lr.TOEPLITZ_ROWS < 150
+        for rows, r in ((7, 9), (lr.TOEPLITZ_ROWS, 30)):
+            monkeypatch.setattr(lr, "TOEPLITZ_ROWS", rows)
+            eta = ar1_scores(rng, 150, r)
+            h = rng.uniform(0.5, 2.0, r)
+            for s_n in (1.0, 2.7, 60.0):
+                np.testing.assert_array_equal(w_diag(eta, h, s_n, spec),
+                                              index_w_diag(eta, h, s_n, spec))
 
-    @pytest.mark.parametrize("rows", [None, 7],
-                             ids=["one-chunk", "row-chunks"])
+    @pytest.mark.parametrize("rows", [150, 7, None],
+                             ids=["one-chunk", "row-chunks", "default-rows"])
     def test_w_diag_copies_rows_before_product(self, rng, monkeypatch,
                                                rows):
         # a product with the negative-stride view itself may leave BLAS on
