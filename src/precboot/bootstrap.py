@@ -17,6 +17,21 @@ are then a function of the covariance alone, not of which factorization
 succeeded or of the signs LAPACK gives the eigenvectors, and a small
 change of the bandwidth moves them a little.
 
+The r >= n route uses two symmetries:
+
+  * A is symmetric Toeplitz, so centrosymmetric (J A J = A) bit for bit,
+    and ``psd_factor`` takes the root of a centrosymmetric covariance from
+    two eigenproblems of half its size (``_split_root``). That is the same
+    root to rounding: it moves each draw by up to about 1e-8 at QS, where
+    A has eigenvalues at rounding level;
+  * column (j2, j1) of the scores is column (j1, j2) bit for bit, and so
+    is its h, so lazy scores (``LazyEta.projected_columns``) project one
+    column of each pair whose mirror is also in S, scaled by the larger
+    of the pair's two scales, which gives the same max. The projected
+    blocks have other shapes than the ordered ones, so the statistics
+    agree to rounding. An ndarray carries no pair labels and is projected
+    in order.
+
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
 
@@ -99,12 +114,23 @@ def max_statistic(dev: np.ndarray, n: int, scale: np.ndarray) -> float:
 class BootstrapResult:
     """The sorted max statistics of M draws over r coordinates, the sample
     size n, and the r coordinate scales: ones for a plain run, sqrt(w_diag)
-    for a studentized one."""
+    for a studentized one.
+
+    The path the draws took: ``route`` is the factor's size, "n x n" (A)
+    or "r x r" (eta' A eta); ``split`` whether that factor came from two
+    half-size eigenproblems, as ``psd_factor``'s root of a centrosymmetric
+    covariance does (read off the factor, which is then centrosymmetric
+    bit for bit); ``projected`` the number of score columns projected on
+    the multipliers (0 on the r x r route, whose draws are the
+    projections). A result not made by ``kmb_draws`` has no route."""
 
     stats: np.ndarray  # sorted ascending
     bandwidth: float
     n: int
     scale: np.ndarray
+    route: Optional[str] = None
+    split: bool = False
+    projected: int = 0
 
     @property
     def M(self) -> int:
@@ -132,6 +158,57 @@ class BootstrapResult:
         return (1 + at_least) / (self.M + 1)
 
 
+def _centrosymmetric(x: np.ndarray) -> bool:
+    """Whether the square ``x`` has at least two rows and equals
+    x[::-1, ::-1] bit for bit: the test by which ``psd_factor`` splits."""
+    return x.shape[0] >= 2 and np.array_equal(x, x[::-1, ::-1])
+
+
+def _root(c: np.ndarray) -> np.ndarray:
+    """V sqrt(vals) V' from the eigenpairs of the symmetric ``c``, negative
+    eigenvalues clipped to 0."""
+    vals, vecs = np.linalg.eigh(c)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+
+
+def _split_root(c: np.ndarray) -> np.ndarray:
+    """The symmetric root of a centrosymmetric ``c`` from two eigenproblems
+    of half its size (Cantoni & Butler 1976). With m = n // 2, J the m x m
+    exchange matrix and the orthogonal Q = [[I, 0, I], [0, sqrt 2, 0],
+    [J, 0, -J]] / sqrt 2 (no middle row or column at even n), Q' c Q is
+    block-diagonal with the blocks
+        plus  = [[C11 + C13 J, sqrt 2 x], [sqrt 2 x', c_mm]],
+        minus = C11 - C13 J,
+    where C13 is the top-right m x m block and x the top of the middle
+    column (plus is C11 + C13 J alone at even n). So c^(1/2) = Q diag(
+    plus^(1/2), minus^(1/2)) Q', and it is assembled here from mirrored
+    copies of its blocks: the result is centrosymmetric bit for bit."""
+    n = c.shape[0]
+    m, mid = n // 2, n % 2
+    near = c[:m, :m]
+    far = c[:m, n - m:][:, ::-1]  # C13 J
+    plus = np.empty((m + mid, m + mid))
+    np.add(near, far, out=plus[:m, :m])
+    if mid:
+        plus[:m, m] = plus[m, :m] = math.sqrt(2.0) * c[:m, m]
+        plus[m, m] = c[m, m]
+    root_plus, root_minus = _root(plus), _root(near - far)
+    half_sum = 0.5 * (root_plus[:m, :m] + root_minus)
+    half_diff = 0.5 * (root_plus[:m, :m] - root_minus)
+    out = np.empty((n, n))
+    out[:m, :m] = half_sum
+    out[n - m:, n - m:] = half_sum[::-1, ::-1]
+    out[:m, n - m:] = half_diff[:, ::-1]
+    out[n - m:, :m] = half_diff[::-1]
+    if mid:
+        column = root_plus[:m, m] / math.sqrt(2.0)
+        row = root_plus[m, :m] / math.sqrt(2.0)
+        out[:m, m], out[m + 1:, m] = column, column[::-1]
+        out[m, :m], out[m, m + 1:] = row, row[::-1]
+        out[m, m] = root_plus[m, m]
+    return out
+
+
 def psd_factor(cov: np.ndarray) -> np.ndarray:
     """The factor R = D C^(1/2) of a symmetric positive semi-definite
     ``cov``: D = diag(sqrt(diag cov)), C = D^-1 cov D^-1 and C^(1/2) =
@@ -139,11 +216,16 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     eigenvalues clipped to 0). R R' = cov, and R is unique: it does not
     depend on the signs or the order of the eigenvectors. Rescaling a
     variable rescales its row of R and nothing else; a variable with zero
-    variance gets a zero row."""
+    variance gets a zero row.
+
+    When ``cov`` equals cov[::-1, ::-1] bit for bit (then so do C and D),
+    C^(1/2) comes from two eigenproblems of half the size
+    (``_split_root``), and R is centrosymmetric bit for bit. Every
+    multiplier covariance A is centrosymmetric: it is symmetric Toeplitz."""
     d = np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
     safe = np.where(d > 0.0, d, 1.0)
-    vals, vecs = np.linalg.eigh(cov / np.outer(safe, safe))
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
+    corr = cov / np.outer(safe, safe)
+    root = _split_root(corr) if _centrosymmetric(cov) else _root(corr)
     return d[:, None] * root
 
 
@@ -185,6 +267,9 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     With fewer score columns than time points (r < n) the draws come from
     ``score_mult_factor``, else from ``gaussian_mult_factor``; there each
     block of score columns is formed once and projected on every draw.
+    Scores that offer ``projected_columns()`` (a ``LazyEta``) are projected
+    one column per mirrored pair: the pair's two columns are equal, so the
+    larger of their two scales serves both, and the max is the same.
     """
     n, r = eta.shape
     if r < 1:
@@ -194,20 +279,37 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
         if any(studentized) else None
     plain = h_diag / math.sqrt(n)
     scales = [plain / sd if stud else plain for stud in studentized]
+    del plain
+    offer = getattr(eta, "projected_columns", None) if r >= n else None
+    kept = None
+    if offer is not None:
+        kept, mirror = offer()
+        # rounding is monotone, so max(s, s') |x| rounds to the max of
+        # s |x| and s' |x|; each r-length scale is dropped once cut
+        scales = [np.maximum(scale[kept], scale[mirror]) for scale in scales]
+        del mirror
     factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
               else gaussian_mult_factor(n, s_n, cfg.kernel))
     starts = range(0, cfg.M, DRAW_CHUNK)
     draws = [_draw_multipliers(factor, cfg.rng, m, min(m + DRAW_CHUNK, cfg.M))
              for m in starts]
+    # the coordinates read: the projected columns, or on the r < n route
+    # the rows of the draws
+    count = r if kept is None else kept.size
     stats = np.zeros((len(scales), cfg.M))
     width = min(cfg.M, DRAW_CHUNK)
     # the one projection buffer (r >= n: on the r < n route the draws are
     # already the projections), and one tile of scaled rows
-    proj_buf = np.empty(min(r, DRAW_CHUNK) * width) if r >= n else None
-    tile_buf = np.empty(min(r, _TILE_ROWS) * width)
-    for start in range(0, r, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, r)
-        cols_t = eta[:, start:stop].T if r >= n else None
+    proj_buf = np.empty(min(count, DRAW_CHUNK) * width) if r >= n else None
+    tile_buf = np.empty(min(count, _TILE_ROWS) * width)
+    for start in range(0, count, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, count)
+        if r < n:
+            cols_t = None
+        elif kept is None:
+            cols_t = eta[:, start:stop].T
+        else:
+            cols_t = eta[:, kept[start:stop]].T
         for m, g in zip(starts, draws):
             if r >= n:
                 shape = (stop - start, g.shape[1])
@@ -228,6 +330,9 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
                     np.maximum(best, tile.max(axis=0), out=best)
         del cols_t  # release this block before forming the next
     stats.sort(axis=1)
+    route = "r x r" if r < n else "n x n"
+    split = _centrosymmetric(factor)
     return [BootstrapResult(stats=row, bandwidth=float(s_n), n=n,
-                            scale=sd if stud else np.ones(r))
+                            scale=sd if stud else np.ones(r), route=route,
+                            split=split, projected=0 if r < n else count)
             for row, stud in zip(stats, studentized)]

@@ -52,14 +52,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _rows(path):
     """The non-blank rows of a CSV file as lists of cells, read one at a
-    time; an empty file is a user error."""
+    time. An empty file, bytes that do not decode and malformed CSV (such
+    as a cell over the csv module's field limit) are user errors that name
+    the file and the reader's line; the message quotes none of the file."""
     with open(path, newline="") as fh:
-        rows = filter(None, csv.reader(fh))
-        first = next(rows, None)
-        if first is None:
-            raise UserError(f"{path}: empty file")
-        yield first
-        yield from rows
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        try:
+            first = next(rows, None)
+            if first is None:
+                raise UserError(f"{path}: empty file")
+            yield first
+            yield from rows
+        except UnicodeDecodeError as exc:
+            # text is decoded a buffer at a time, so the bad byte lies
+            # somewhere past the last line read
+            raise UserError(f"{path}: not {exc.encoding} text ({exc.reason})"
+                            f" after {reader.line_num} lines read") from None
+        except csv.Error as exc:
+            raise UserError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
 
 
 def _count(rows) -> int:
@@ -369,6 +381,13 @@ def _fit_and_draw(args, data, S, cfg):
     return pipe, boot
 
 
+def _draw_findings(boot) -> dict:
+    """What a run's bootstrap found, for its manifest: the bandwidth, the
+    factor's route, whether it split, and the score columns projected."""
+    return {"bandwidth_used": boot.bandwidth, "draw_route": boot.route,
+            "factor_split": boot.split, "projected_columns": boot.projected}
+
+
 def _check_outputs(args):
     """Check that every file the command writes can be created, before any
     work: --out, its manifest and, for ``estimate --set``, the intervals,
@@ -429,7 +448,7 @@ def _cmd_estimate(args, out: _Outputs) -> int:
                         for (j1, j2), val, lo, hi in zip(
                             S.pairs.tolist(), omega_s, omega_s - half,
                             omega_s + half)))
-        findings.update(bandwidth_used=boot.bandwidth, r=S.r,
+        findings.update(_draw_findings(boot), r=S.r,
                         quantile=boot.quantile(1.0 - args.alpha))
     out.write_manifest(args, **findings)
     return 0
@@ -458,7 +477,7 @@ def _cmd_test(args, out: _Outputs) -> int:
     print(("REJECT" if outcome.reject else "RETAIN")
           + f" p={outcome.p_value:.6g} stat={outcome.statistic:.6g}"
           + f" q={outcome.quantile:.6g}")
-    out.write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r)
+    out.write_manifest(args, **_draw_findings(boot), r=S.r)
     return 0
 
 
@@ -470,7 +489,7 @@ def _cmd_recover(args, out: _Outputs) -> int:
     out.write_csv(args.out, ["j1", "j2", "omega"],
                    ([j1, j2, _num(pipe.omega_hat[j1 - 1, j2 - 1])]
                     for j1, j2 in selected))
-    out.write_manifest(args, bandwidth_used=boot.bandwidth, r=S.r,
+    out.write_manifest(args, **_draw_findings(boot), r=S.r,
                        selected=len(selected))
     return 0
 

@@ -67,7 +67,10 @@ def center(data: Dataset) -> Dataset:
 
 def center_in_place(values: np.ndarray) -> Dataset:
     """Subtract each column's sample mean from the n x p float64 array
-    ``values`` itself, and return it as a centred Dataset (no copy)."""
+    ``values`` itself, and return it as a centred Dataset (no copy).
+    InvalidInput, before any arithmetic, when a value is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput("data contains NaN or infinite values")
     values -= values.mean(axis=0)
     # kill residual rounding so the centered invariant holds exactly enough
     values -= values.mean(axis=0)

@@ -12,7 +12,9 @@ result and multiplies the second into it ``_PIECE_COLS`` columns at a time,
 so a read holds its result and one n x ``_PIECE_COLS`` piece, with the
 bits of the whole product. ``LazyEta.gram_inputs`` hands out the
 residuals, the mask of the variables the set touches and its pairs as
-columns of the masked residuals instead, and copies nothing. How and when
+columns of the masked residuals instead, and copies nothing;
+``LazyEta.projected_columns`` names one column of each mirrored pair
+(j1, j2), (j2, j1), whose columns are equal bit for bit. How and when
 each is read is decided by the readers (``longrun``, ``bootstrap``).
 """
 from __future__ import annotations
@@ -95,6 +97,25 @@ class LazyEta:
             out[:, piece] *= self._eps[:, cols[piece]]
         out -= self._v[rows, cols]
         return out
+
+    def projected_columns(self) -> tuple:
+        """(kept, mirror): the columns that a projection of the scores needs,
+        in chi order, and for each the position of its mirror. Column
+        (j2, j1) is column (j1, j2) bit for bit (the product commutes and
+        v_hat is exactly symmetric), so of a pair whose mirror is also in S
+        only (j1, j2) with j1 < j2 is kept; a pair (j, j) or one without
+        its mirror in S is kept, and is its own mirror. The positions come
+        from a p x p table, no larger than v_hat itself."""
+        p = self._eps.shape[1]
+        slot = np.full((p, p), -1, dtype=np.intp)
+        slot[self._rows, self._cols] = np.arange(self.shape[1])
+        mirror = slot[self._cols, self._rows]
+        del slot
+        kept = np.flatnonzero((self._rows <= self._cols) | (mirror < 0))
+        mirror = mirror[kept]
+        alone = mirror < 0
+        mirror[alone] = kept[alone]
+        return kept, mirror
 
     def gram_inputs(self) -> tuple:
         """(eps, touched, a, b, v_ab): the n x p residuals and the mask of

@@ -14,6 +14,7 @@ from precboot.errors import InvalidInput, InvalidLevel, ShapeError
 from precboot.inference import test_structure as structure_test
 from precboot.longrun import KernelSpec, _gram_inputs, andrews_bandwidth, \
     kernel_eval, w_diag
+from precboot.simulate import true_zero_set
 
 from conftest import draw_vectors
 
@@ -75,6 +76,56 @@ class TestMultiplierFactor:
                  for k in range(60)]
         assert np.abs(np.diff(draws, axis=0)).max() <= 0.5
 
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    @pytest.mark.parametrize("s_n", [1.0, 2.6, 7.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 151])
+    def test_split_root(self, monkeypatch, spec, s_n, n):
+        # A is symmetric Toeplitz, so centrosymmetric bit for bit: from
+        # n = 2 on its root comes from two eigenproblems of half its size
+        # and is centrosymmetric bit for bit itself. It is the plain eigh
+        # root to rounding: about 1e-8 at QS, where A has eigenvalues at
+        # rounding level
+        a = multiplier_cov(n, s_n, spec)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recorded(c):
+            sizes.append(c.shape[0])
+            return eigh(c)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        got = psd_factor(a)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sizes == ([n - n // 2, n // 2] if n >= 2 else [1])
+        assert np.array_equal(a, a[::-1, ::-1])
+        assert np.array_equal(got, got[::-1, ::-1])
+        np.testing.assert_allclose(got @ got, a, rtol=0,
+                                   atol=1e-13 * np.abs(a).max())
+        np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, plain_factor(a), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_other_symmetric_matrices_take_the_plain_root(self, rng, n):
+        # symmetric but not centrosymmetric: the one eigh of the parent,
+        # bit for bit; a covariance of scores (r x r route) is one such
+        b = rng.standard_normal((n, n + 2))
+        eta = serially_dependent(rng, 30, n) * rng.uniform(0.1, 10.0, n)
+        for cov in (b @ b.T, eta.T @ multiplier_cov(30, 2.5, QS) @ eta):
+            assert not np.array_equal(cov, cov[::-1, ::-1])
+            assert np.array_equal(psd_factor(cov), plain_factor(cov))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_split_zero_variance_rows(self, n):
+        # zero rows at both ends keep A centrosymmetric: the split still
+        # runs, and each zero-variance row gets a zero row
+        a = multiplier_cov(n, 2.6, QS)
+        a[[0, -1]] = 0.0
+        a[:, [0, -1]] = 0.0
+        got = psd_factor(a)
+        assert np.array_equal(got, got[::-1, ::-1])
+        assert np.all(got[[0, -1]] == 0.0) and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got @ got.T, a, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_bandwidth(self, bandwidth):
         # K is even, so a negative S_n would otherwise pass as |S_n|, and
@@ -105,6 +156,16 @@ def serially_dependent(rng, n, r, phi=0.5):
     for t in range(1, n):
         e[t] += phi * e[t - 1]
     return e
+
+
+def plain_factor(cov):
+    """``psd_factor`` without the split: D times the root of the one
+    eigendecomposition of the correlation matrix C = D^-1 cov D^-1."""
+    d = np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
+    safe = np.where(d > 0.0, d, 1.0)
+    vals, vecs = np.linalg.eigh(cov / np.outer(safe, safe))
+    return d[:, None] * ((vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :])
+                         @ vecs.T)
 
 
 def flip_eigenvector_signs(monkeypatch):
@@ -481,6 +542,118 @@ class TestKmbDraws:
         with pytest.raises(InvalidInput,
                            match="^need at least one score column$"):
             kmb_draws(np.empty((20, 0)), np.empty(0), cfg)
+
+
+def partly_mirrored(p: int, rng) -> IndexSet:
+    """The off-diagonal pairs of p variables with about a third of the pairs
+    (j1 > j2) dropped, so some pairs have their mirror in the set and some
+    do not; row-major."""
+    j = np.arange(p)
+    mask = (j[:, None] != j[None, :]) \
+        & ((j[:, None] < j[None, :]) | (rng.uniform(size=(p, p)) > 0.35))
+    return IndexSet(np.column_stack(np.nonzero(mask)) + 1)
+
+
+class Unpaired:
+    """Lazy scores that offer their Gram inputs but not the pairing of their
+    mirrored columns, so the draws project every column in order."""
+
+    def __init__(self, eta):
+        self.shape = eta.shape
+        self.gram_inputs = eta.gram_inputs
+        self._eta = eta
+
+    def __getitem__(self, key):
+        return self._eta[key]
+
+
+class TestMirroredProjection:
+    """On the n x n route the lazy scores project one column per mirrored
+    pair; the results equal those of the ordered path over every column of
+    ``eta[:, :]`` to rounding, with the same p-values and support."""
+
+    @pytest.fixture
+    def sets(self, rng):
+        """(name, S, n, projected count): the n x n route, r >= n."""
+        p = 8
+        with_diagonal = IndexSet(np.argwhere(np.ones((6, 6), bool)) + 1)
+        partly = partly_mirrored(p, rng)
+        mirrored = sum(1 for a, b in partly.pairs.tolist()
+                       if a < b and [b, a] in partly.pairs.tolist())
+        return [("offdiag", index_set_all_offdiag(p), 40, 28),
+                ("zeros-A", true_zero_set("A", 12), 60, 55),
+                ("zeros-B", true_zero_set("B", 10), 40, 25),
+                ("partly-mirrored", partly, 30, partly.r - mirrored),
+                ("with-diagonal", with_diagonal, 20, 21)]
+
+    def test_matches_ordered_path(self, rng, sets):
+        for name, S, n, count in sets:
+            p = int(S.pairs.max())
+            pipe = fit_pipeline(center(Dataset(serially_dependent(rng, n,
+                                                                  p))))
+            eta, h = pipe.scores(S)
+            assert S.r >= n, name
+            cfg = BootstrapConfig(rng=RngSpec(19), M=300,
+                                  bandwidth=andrews_bandwidth(eta, QS))
+            lazy = kmb_draws(eta, h, cfg, (False, True))
+            omega_s = pipe.omega_on(S)
+            # the dense columns read w_diag by the column route, so their
+            # scale agrees to rounding; the lazy columns without the pairing
+            # read it by the same route as the lazy run, bit for bit
+            for scores in (eta[:, :], Unpaired(eta)):
+                ordered = kmb_draws(scores, h, cfg, (False, True))
+                for a, b in zip(lazy, ordered):
+                    assert (a.route, a.split, a.projected) == \
+                        ("n x n", True, count), name
+                    assert (b.route, b.split, b.projected) == \
+                        ("n x n", True, S.r), name
+                    np.testing.assert_allclose(a.scale, b.scale, rtol=1e-14)
+                    if isinstance(scores, Unpaired):
+                        np.testing.assert_array_equal(a.scale, b.scale)
+                    np.testing.assert_allclose(a.stats, b.stats, rtol=1e-14)
+                    for level in (0.9, 0.95):
+                        t = a.statistic(omega_s * level)
+                        assert a.p_value(t) == b.p_value(t), name
+                    for alpha in (0.01, 0.05, 0.5):
+                        assert recover_support(omega_s, S, a, alpha) == \
+                            recover_support(omega_s, S, b, alpha), name
+
+    def test_fully_mirrored_set_projects_half(self, rng):
+        S = index_set_all_offdiag(9)
+        pipe = fit_pipeline(center(Dataset(serially_dependent(rng, 30, 9))))
+        eta, _ = pipe.scores(S)
+        kept, mirror = eta.projected_columns()
+        assert kept.size == S.r // 2
+        pairs = S.pairs
+        np.testing.assert_array_equal(pairs[kept][:, ::-1], pairs[mirror])
+        assert np.all(pairs[kept, 0] < pairs[kept, 1])
+        np.testing.assert_array_equal(eta[:, kept], eta[:, mirror])
+
+    def test_every_draw_keeps_its_generator(self, rng, monkeypatch):
+        # the same factor and M generator calls, however many columns are
+        # projected
+        pipe = fit_pipeline(center(Dataset(serially_dependent(rng, 30, 8))))
+        eta, h = pipe.scores(index_set_all_offdiag(8))
+        cfg = BootstrapConfig(rng=RngSpec(4), M=DRAW_CHUNK + 9, bandwidth=2.0)
+        calls = []
+        generator = RngSpec.generator
+
+        def counted(spec, *key):
+            calls.append(key)
+            return generator(spec, *key)
+
+        monkeypatch.setattr(RngSpec, "generator", counted)
+        for scores in (eta, eta[:, :]):
+            calls.clear()
+            kmb_draws(scores, h, cfg, (False, True))
+            assert calls == [(m,) for m in range(cfg.M)]
+
+    def test_r_by_r_route_projects_nothing(self, rng):
+        eta = serially_dependent(rng, 40, 6)
+        cfg = BootstrapConfig(rng=RngSpec(4), M=20, bandwidth=2.0)
+        for res in kmb_draws(eta, np.ones(6), cfg, (False, True)):
+            assert (res.route, res.split, res.projected) == ("r x r", False,
+                                                             0)
 
 
 class TestQuantile:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -849,3 +850,72 @@ class TestRowByRowReading:
             tracemalloc.stop()
         assert data.values.shape == (n - (flag == "--prices"), p)
         assert peak < 4 * 8 * n * p
+
+
+def corrupt(path, line: int, fault: str):
+    """Rewrite a CSV file with one fault on ``line`` (0-based): a byte that
+    is not UTF-8, a first cell over the csv module's 131,072-character
+    field limit, or a first cell of inf."""
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[line].split(b",")
+    cells[0] = {"bad-byte": cells[0][:-1] + b"\xff",
+                "huge-cell": b"1" * 131073, "inf": b"inf"}[fault]
+    lines[line] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestMalformedFiles:
+    """A file that does not decode, malformed CSV and a value that is not
+    finite each exit 1 with one error line that quotes none of the file,
+    with no warning besides, and leave no file behind."""
+
+    @pytest.mark.parametrize("flag", ["--data", "--prices"])
+    @pytest.mark.parametrize("fault", ["bad-byte", "huge-cell", "inf"])
+    def test_exits_1_with_one_error_line(self, tmp_path, data_csv, capsys,
+                                         flag, fault):
+        source, _ = data_csv if flag == "--data" \
+            else two_group_prices(tmp_path)
+        corrupt(source, 4, fault)
+        name = re.escape(str(source))
+        message = {
+            "bad-byte": rf"{name}: not utf-8 text \(invalid start byte\) "
+                        r"after \d+ lines read",
+            "huge-cell": rf"{name}: line 5: field larger than field limit "
+                         r"\(131072\)",
+            "inf": "data contains NaN or infinite values" if flag == "--data"
+            else "non-finite price at row 5, symbol A"}[fault]
+        out = tmp_path / "sub" / "edges.csv"
+        out.parent.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["recover", flag, source, "--set", "offdiag",
+                            "--boot-M", "10", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert caught == []
+        assert list(out.parent.iterdir()) == []
+
+
+class TestDrawFindings:
+    @pytest.mark.parametrize("command, extra, route", [
+        ("estimate", ["--set", "offdiag"], "n x n"),
+        ("test", ["--set", "offdiag", "--zero"], "n x n"),
+        ("recover", ["--set", "offdiag"], "n x n"),
+        ("recover", ["--set", "pairs", "pairs.csv"], "r x r"),
+    ], ids=["estimate", "test", "recover", "recover-r-by-r"])
+    def test_manifest_records_the_draw_path(self, tmp_path, data_csv,
+                                            capsys, command, extra, route):
+        # p = 8, n = 40: offdiag's 56 columns take the n x n route, 28 of
+        # them projected, and its factor of A splits; 3 pairs take r x r
+        write_data_csv(tmp_path / "data.csv", data_csv[1][:40])
+        (tmp_path / "pairs.csv").write_text("1,2\n2,1\n3,5\n")
+        out = tmp_path / "out"
+        extra = [tmp_path / a if a == "pairs.csv" else a for a in extra]
+        assert run_cli([command, "--data", tmp_path / "data.csv", *extra,
+                        "--boot-M", "10", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["draw_route"] == route
+        assert manifest["factor_split"] is (route == "n x n")
+        assert manifest["projected_columns"] == (28 if route == "n x n"
+                                                 else 0)

@@ -305,6 +305,29 @@ class TestRngConstruction:
         assert {name: f for name, f in found.items() if f} == {}
 
 
+def eigh_callers(folder: Path):
+    """The modules of ``folder`` that call an ``eigh``."""
+    return {path.name for path in sorted(folder.glob("*.py"))
+            if called_names(path.read_text(), {"eigh"})}
+
+
+class TestFactorHome:
+    # psd_factor is the one matrix root: the draws are a function of the
+    # covariance alone, and a centrosymmetric one splits, only while no
+    # other module takes an eigendecomposition of its own
+    def test_checker_flags_planted_callers(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            "import numpy as np\ndef f(x):\n    return np.linalg.eigh(x)\n")
+        (tmp_path / "b.py").write_text(
+            "from numpy.linalg import eigh\nvals, vecs = eigh([[1.0]])\n")
+        (tmp_path / "c.py").write_text(
+            "import numpy as np\nvals = np.linalg.eigvalsh([[1.0]])\n"
+            "# np.linalg.eigh in a comment\n")
+        assert eigh_callers(tmp_path) == {"a.py", "b.py"}
+
+    def test_only_bootstrap_calls_eigh(self):
+        assert eigh_callers(PACKAGE) == {"bootstrap.py"}
+
 
 def assigned_values(tree, target: str):
     """The values of a module's top-level assignments to ``target``."""
