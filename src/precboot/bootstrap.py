@@ -25,12 +25,12 @@ The r >= n route uses two symmetries:
     root to rounding: it moves each draw by up to about 1e-8 at QS, where
     A has eigenvalues at rounding level;
   * column (j2, j1) of the scores is column (j1, j2) bit for bit, and so
-    is its h, so lazy scores (``LazyEta.projected_columns``) project one
-    column of each pair whose mirror is also in S, scaled by the larger
-    of the pair's two scales, which gives the same max. The projected
-    blocks have other shapes than the ordered ones, so the statistics
-    agree to rounding. An ndarray carries no pair labels and is projected
-    in order.
+    is its h, and on the Gram route its w_diag (``longrun._gram_forms``),
+    so lazy scores (``LazyEta.projected_columns``) project one column of
+    each pair whose mirror is also in S, which gives the same max. The
+    projected blocks have other shapes than the ordered ones (and on the
+    column route w_diag can differ in the last bit), so the statistics
+    agree to rounding. An ndarray is projected in order.
 
 The scores ``eta`` are read only as ``eta[:, cols]``: an n x r ndarray or
 the ``LazyEta`` of ``precision.scores_for``, which forms the columns read.
@@ -268,8 +268,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     ``score_mult_factor``, else from ``gaussian_mult_factor``; there each
     block of score columns is formed once and projected on every draw.
     Scores that offer ``projected_columns()`` (a ``LazyEta``) are projected
-    one column per mirrored pair: the pair's two columns are equal, so the
-    larger of their two scales serves both, and the max is the same.
+    one column per mirrored pair, with that column's scale: the pair's two
+    columns and scales are equal, so the max is the same.
     """
     n, r = eta.shape
     if r < 1:
@@ -281,13 +281,9 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     scales = [plain / sd if stud else plain for stud in studentized]
     del plain
     offer = getattr(eta, "projected_columns", None) if r >= n else None
-    kept = None
-    if offer is not None:
-        kept, mirror = offer()
-        # rounding is monotone, so max(s, s') |x| rounds to the max of
-        # s |x| and s' |x|; each r-length scale is dropped once cut
-        scales = [np.maximum(scale[kept], scale[mirror]) for scale in scales]
-        del mirror
+    kept = None if offer is None else offer()
+    if kept is not None:  # each r-length scale is dropped once cut
+        scales = [scale[kept] for scale in scales]
     factor = (score_mult_factor(eta, s_n, cfg.kernel) if r < n
               else gaussian_mult_factor(n, s_n, cfg.kernel))
     starts = range(0, cfg.M, DRAW_CHUNK)
@@ -304,12 +300,8 @@ def kmb_draws(eta, h_diag: np.ndarray, cfg: BootstrapConfig,
     tile_buf = np.empty(min(count, _TILE_ROWS) * width)
     for start in range(0, count, DRAW_CHUNK):
         stop = min(start + DRAW_CHUNK, count)
-        if r < n:
-            cols_t = None
-        elif kept is None:
-            cols_t = eta[:, start:stop].T
-        else:
-            cols_t = eta[:, kept[start:stop]].T
+        cols = slice(start, stop) if kept is None else kept[start:stop]
+        cols_t = None if r < n else eta[:, cols].T
         for m, g in zip(starts, draws):
             if r >= n:
                 shape = (stop - start, g.shape[1])

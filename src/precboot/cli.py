@@ -52,11 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _rows(path):
     """The non-blank rows of a CSV file as lists of cells, read one at a
-    time. An empty file, bytes that do not decode and malformed CSV (such
-    as a cell over the csv module's field limit) are user errors that name
+    time; a byte-order mark is not part of the first cell. An empty file,
+    bytes that do not decode and malformed CSV (a cell over the csv
+    module's field limit, a quote never closed) are user errors that name
     the file and the reader's line; the message quotes none of the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, strict=True)
         rows = filter(None, reader)
         try:
             first = next(rows, None)
@@ -288,7 +289,12 @@ def _load_dataset(args):
             args.prices, log_returns=not args.simple_returns,
             standardize=not args.no_standardize, group_map=args.group_map)[:2]
     if args.data:
-        return Dataset(_numbers(args.data)), {}
+        values = _numbers(args.data)
+        if not np.isfinite(values).all():  # before any arithmetic
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise UserError(f"{args.data}: row {row + 1}: data must be "
+                            f"finite, got {values[row, col]}")
+        return Dataset(values), {}
     raise UserError("provide --data or --prices")
 
 

@@ -290,7 +290,12 @@ def _gram_forms(e, a, b, v_ab, weights: np.ndarray):
     row_sums = upto + upto[::-1] - weights[0]
     quad = gram[a, b]
     del gram
-    spread = ((e * row_sums[:, None]).T @ e)[a, b]
+    spread = (e * row_sums[:, None]).T @ e
+    # like the Grams, symmetric bit for bit once its upper triangle is
+    # copied onto the lower: (a, b) and (b, a) then read one number
+    for i in range(1, spread.shape[0]):
+        spread[i, :i] = spread[:i, i]
+    spread = spread[a, b]
     return _less_v_terms(quad, spread, v_ab, row_sums.sum()), lag0
 
 

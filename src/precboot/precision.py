@@ -14,8 +14,10 @@ bits of the whole product. ``LazyEta.gram_inputs`` hands out the
 residuals, the mask of the variables the set touches and its pairs as
 columns of the masked residuals instead, and copies nothing;
 ``LazyEta.projected_columns`` names one column of each mirrored pair
-(j1, j2), (j2, j1), whose columns are equal bit for bit. How and when
-each is read is decided by the readers (``longrun``, ``bootstrap``).
+(j1, j2), (j2, j1), whose columns are equal bit for bit, as is every
+per-pair number formed from them on the Gram route (``longrun._gram_forms``
+makes it so): this class alone knows about mirrors. How and when each is
+read is decided by the readers (``longrun``, ``bootstrap``).
 """
 from __future__ import annotations
 
@@ -98,24 +100,18 @@ class LazyEta:
         out -= self._v[rows, cols]
         return out
 
-    def projected_columns(self) -> tuple:
-        """(kept, mirror): the columns that a projection of the scores needs,
-        in chi order, and for each the position of its mirror. Column
-        (j2, j1) is column (j1, j2) bit for bit (the product commutes and
-        v_hat is exactly symmetric), so of a pair whose mirror is also in S
-        only (j1, j2) with j1 < j2 is kept; a pair (j, j) or one without
-        its mirror in S is kept, and is its own mirror. The positions come
-        from a p x p table, no larger than v_hat itself."""
+    def projected_columns(self) -> np.ndarray:
+        """The positions, in chi order, of the columns that a projection of
+        the scores needs. Column (j2, j1) is column (j1, j2) bit for bit
+        (the product commutes and v_hat is exactly symmetric), so of a pair
+        whose mirror is also in S only (j1, j2) with j1 < j2 is kept; a
+        pair (j, j) or one without its mirror in S is kept. Membership
+        comes from a p x p table, no larger than v_hat itself."""
         p = self._eps.shape[1]
-        slot = np.full((p, p), -1, dtype=np.intp)
-        slot[self._rows, self._cols] = np.arange(self.shape[1])
-        mirror = slot[self._cols, self._rows]
-        del slot
-        kept = np.flatnonzero((self._rows <= self._cols) | (mirror < 0))
-        mirror = mirror[kept]
-        alone = mirror < 0
-        mirror[alone] = kept[alone]
-        return kept, mirror
+        member = np.zeros((p, p), dtype=bool)
+        member[self._rows, self._cols] = True
+        return np.flatnonzero((self._rows <= self._cols)
+                              | ~member[self._cols, self._rows])
 
     def gram_inputs(self) -> tuple:
         """(eps, touched, a, b, v_ab): the n x p residuals and the mask of

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from precboot import Dataset, RngSpec, SymMatrix, center, \
-    gaussian_mult_factor, multiplier_cov
+from precboot import Dataset, IndexSet, RngSpec, SymMatrix, center, \
+    fit_pipeline, gaussian_mult_factor, multiplier_cov
 from precboot.errors import ConvergenceWarning
 from precboot.longrun import kernel_lag_weights
 from precboot.nodewise import fit_batch
+from precboot.simulate import DgpSpec, generate
 
 
 @pytest.fixture
@@ -34,6 +35,30 @@ def gram_dataset(gram, n=4):
     ])
     chol = np.linalg.cholesky(gram)
     return Dataset(2.0 * z @ chol.T, centered=True)
+
+
+def desk_fit():
+    """The pipeline fit of one sample at the paper's desk cell: structure A,
+    p = 50, n = 150, rho = 0.3."""
+    return fit_pipeline(center(generate(DgpSpec("A", 50, 0.3, 150,
+                                                RngSpec(301, "dgp")))))
+
+
+def partly_mirrored(p: int, rng) -> IndexSet:
+    """The off-diagonal pairs of p variables with about a third of the pairs
+    (j1 > j2) dropped, so some pairs have their mirror in the set and some
+    do not; row-major."""
+    j = np.arange(p)
+    mask = (j[:, None] != j[None, :]) \
+        & ((j[:, None] < j[None, :]) | (rng.uniform(size=(p, p)) > 0.35))
+    return IndexSet(np.column_stack(np.nonzero(mask)) + 1)
+
+
+def mirror_positions(S: IndexSet) -> np.ndarray:
+    """For each pair (a, b) of S, the position of (b, a) in S, or -1."""
+    position = {pair: l for l, pair in enumerate(map(tuple,
+                                                     S.pairs.tolist()))}
+    return np.array([position.get((b, a), -1) for a, b in S.pairs.tolist()])
 
 
 # ---------------------------------------------------------------------------

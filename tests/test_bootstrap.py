@@ -16,7 +16,8 @@ from precboot.longrun import KernelSpec, _gram_inputs, andrews_bandwidth, \
     kernel_eval, w_diag
 from precboot.simulate import true_zero_set
 
-from conftest import draw_vectors
+from conftest import desk_fit, draw_vectors, mirror_positions, \
+    partly_mirrored
 
 QS = KernelSpec(kind="qs")
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
@@ -544,16 +545,6 @@ class TestKmbDraws:
             kmb_draws(np.empty((20, 0)), np.empty(0), cfg)
 
 
-def partly_mirrored(p: int, rng) -> IndexSet:
-    """The off-diagonal pairs of p variables with about a third of the pairs
-    (j1 > j2) dropped, so some pairs have their mirror in the set and some
-    do not; row-major."""
-    j = np.arange(p)
-    mask = (j[:, None] != j[None, :]) \
-        & ((j[:, None] < j[None, :]) | (rng.uniform(size=(p, p)) > 0.35))
-    return IndexSet(np.column_stack(np.nonzero(mask)) + 1)
-
-
 class Unpaired:
     """Lazy scores that offer their Gram inputs but not the pairing of their
     mirrored columns, so the draws project every column in order."""
@@ -622,12 +613,32 @@ class TestMirroredProjection:
         S = index_set_all_offdiag(9)
         pipe = fit_pipeline(center(Dataset(serially_dependent(rng, 30, 9))))
         eta, _ = pipe.scores(S)
-        kept, mirror = eta.projected_columns()
+        kept = eta.projected_columns()
         assert kept.size == S.r // 2
         pairs = S.pairs
+        mirror = mirror_positions(S)[kept]
         np.testing.assert_array_equal(pairs[kept][:, ::-1], pairs[mirror])
         assert np.all(pairs[kept, 0] < pairs[kept, 1])
         np.testing.assert_array_equal(eta[:, kept], eta[:, mirror])
+
+    def test_recover_is_mirror_closed_at_the_knife_edge(self):
+        # the desk cell's zero set, studentized. |omega| at the larger of
+        # the two half-widths of a mirrored pair: were the pair's scales
+        # unequal, that value would pick one of the two and not the other
+        S = true_zero_set("A", 50)
+        pipe = desk_fit()
+        eta, h = pipe.scores(S)
+        (res,) = kmb_draws(eta, h, BootstrapConfig(rng=RngSpec(19), M=200),
+                           (True,))
+        mirror = mirror_positions(S)
+        assert np.all(mirror >= 0)
+        np.testing.assert_array_equal(res.scale, res.scale[mirror])
+        half = res.half_width(0.95)
+        edge = np.maximum(half, half[mirror])
+        for omega_s in (edge, -edge, np.nextafter(edge, np.inf),
+                        pipe.omega_on(S)):
+            picked = recover_support(omega_s, S, res, 0.05)
+            assert sorted(picked) == sorted((b, a) for a, b in picked)
 
     def test_every_draw_keeps_its_generator(self, rng, monkeypatch):
         # the same factor and M generator calls, however many columns are

@@ -882,8 +882,9 @@ class TestMalformedFiles:
                         r"after \d+ lines read",
             "huge-cell": rf"{name}: line 5: field larger than field limit "
                          r"\(131072\)",
-            "inf": "data contains NaN or infinite values" if flag == "--data"
-            else "non-finite price at row 5, symbol A"}[fault]
+            "inf": rf"{name}: row 5: data must be finite, got inf"
+            if flag == "--data" else "non-finite price at row 5, symbol A"}[
+                fault]
         out = tmp_path / "sub" / "edges.csv"
         out.parent.mkdir()
         with warnings.catch_warnings(record=True) as caught:
@@ -895,6 +896,158 @@ class TestMalformedFiles:
         assert re.fullmatch(f"error: {message}\n", err), err
         assert caught == []
         assert list(out.parent.iterdir()) == []
+
+
+def file_inputs(tmp_path):
+    """Good input files for each file option, and the command that reads
+    each: the data (p = 8, n = 80), a price file of four symbols with its
+    group map, a pairs file, a zeros-of matrix and a c-vector for the pairs.
+    A command's outputs go to ``tmp_path / "out"``."""
+    dgp = DgpSpec("A", 8, 0.0, 80, RngSpec(13, "cli"))
+    data = tmp_path / "data.csv"
+    write_data_csv(data, generate(dgp).values)
+    prices, groups = two_group_prices(tmp_path)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("1,2\n2,1\n3,5\n5,3\n4,7\n")
+    j = np.arange(8)
+    zeros = tmp_path / "zeros.csv"
+    write_data_csv(zeros, (np.abs(j[:, None] - j[None, :]) <= 1) * 1.0)
+    c_file = tmp_path / "c.csv"
+    c_file.write_text("0\n0.5\n0\n0\n-0.25\n")
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    common = ["--boot-M", "10", "--out", out]
+    return {
+        "--data": (data, ["recover", "--data", data, "--set", "offdiag",
+                          *common]),
+        "--prices": (prices, ["blocks", "--prices", prices, "--group-map",
+                              groups, *common]),
+        "--group-map": (groups, ["blocks", "--prices", prices,
+                                 "--group-map", groups, *common]),
+        "pairs": (pairs, ["estimate", "--data", data, "--set", "pairs",
+                          pairs, *common]),
+        "zeros-of": (zeros, ["recover", "--data", data, "--set", "zeros-of",
+                             zeros, *common]),
+        "--c-file": (c_file, ["test", "--data", data, "--set", "pairs", pairs,
+                              "--c-file", c_file, *common]),
+    }
+
+
+FILE_OPTIONS = ["--data", "--prices", "--group-map", "pairs", "zeros-of",
+                "--c-file"]
+
+
+def on_line(line: int, change):
+    """A mutation that rewrites the first cell of ``line`` (0-based) of a
+    CSV file's bytes by ``change``."""
+    def mutate(text: bytes) -> bytes:
+        lines = text.split(b"\n")
+        cells = lines[line].split(b",")
+        cells[0] = change(cells[0])
+        lines[line] = b",".join(cells)
+        return b"\n".join(lines)
+    return mutate
+
+
+def truncated(text: bytes) -> bytes:
+    """The file cut half way through its last row."""
+    body = text.rstrip(b"\n")
+    last = body.rfind(b"\n") + 1
+    return body[:last + max(1, (len(body) - last) // 2)]
+
+
+MUTATIONS = {
+    "none": lambda text: text,
+    "bad-byte": on_line(2, lambda cell: b"\xff" + cell[1:]),
+    "bom": lambda text: b"\xef\xbb\xbf" + text,
+    "nul": on_line(2, lambda cell: cell + b"\x00"),
+    "huge-cell": on_line(2, lambda cell: b"1" * 140000),
+    "truncated": truncated,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "extra-cell": on_line(2, lambda cell: cell + b",1"),
+    "blank-lines": lambda text: b"\n\n\n",
+    "nan": on_line(2, lambda cell: b"nan"),
+    "inf": on_line(2, lambda cell: b"inf"),
+    "overflow": on_line(2, lambda cell: b"1e999"),
+    "stray-quote": on_line(2, lambda cell: b'"' + cell),
+    "empty": lambda text: b"",
+}
+
+
+class TestMalformedCorpus:
+    """Every file option read after each mutation of a good file: the run
+    exits 0 or 1, never 2 (an internal error); on exit 1 it writes exactly
+    one error line, no warning, and no file."""
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    def test_exits_0_or_1(self, tmp_path, capsys, option, mutation):
+        path, argv = file_inputs(tmp_path)[option]
+        path.write_bytes(MUTATIONS[mutation](path.read_bytes()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if code == 1:
+            assert re.fullmatch(r"error: [^\n]*\n", err), err
+            assert caught == []
+            assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    def test_outputs_as_without_one(self, tmp_path, option):
+        # the same paths both times, so the manifests compare too
+        path, argv = file_inputs(tmp_path)[option]
+        folder = tmp_path / "out"
+        runs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + path.read_bytes())
+            assert run_cli(argv) == 0
+            runs.append({f.name: f.read_bytes() for f in folder.iterdir()})
+        assert runs[0] == runs[1]
+        assert len(runs[0]) >= 2
+
+
+def mirrors_of(rows):
+    """For intervals or edges keyed by (j1, j2): the keys whose mirror
+    (j2, j1) is among them too."""
+    return [key for key in rows if key[::-1] in rows]
+
+
+class TestMirrorExactOutputs:
+    """A mirrored pair (a, b), (b, a) is one precision coefficient, and its
+    two rows give one answer: the studentized scale of both is one number.
+    p = 20, n = 100, offdiag: 380 columns, 190 mirrored pairs."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_data_csv(path, generate(DgpSpec("A", 20, 0.3, 100,
+                                              RngSpec(301, "dgp"))).values)
+        return path
+
+    def test_studentized_intervals(self, tmp_path, data):
+        out = tmp_path / "omega.csv"
+        assert run_cli(["estimate", "--data", data, "--set", "offdiag",
+                        "--studentized", "--boot-M", "10", "--out",
+                        out]) == 0
+        rows = {(r["j1"], r["j2"]): (r["lo"], r["hi"]) for r in
+                csv.DictReader(open(tmp_path / "omega.csv.intervals.csv"))}
+        assert len(mirrors_of(rows)) == 380
+        for a, b in rows:
+            assert rows[a, b] == rows[b, a]
+
+    def test_studentized_recover(self, tmp_path, data):
+        out = tmp_path / "edges.csv"
+        for alpha in ("0.05", "0.5"):
+            assert run_cli(["recover", "--data", data, "--set", "offdiag",
+                            "--studentized", "--alpha", alpha, "--boot-M",
+                            "50", "--out", out]) == 0
+            edges = [(r["j1"], r["j2"]) for r in csv.DictReader(open(out))]
+            assert edges
+            assert sorted(mirrors_of(edges)) == sorted(edges)
 
 
 class TestDrawFindings:

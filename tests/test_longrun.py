@@ -11,7 +11,8 @@ from precboot.errors import BandwidthFallback, DegenerateVariance, \
 from precboot.longrun import KernelSpec, _gram_inputs, kernel_lag_weights
 from precboot.precision import h_diag_from_v
 
-from conftest import gamma_hat, xi_hat
+from conftest import desk_fit, gamma_hat, mirror_positions, \
+    partly_mirrored, xi_hat
 
 QS = KernelSpec(kind="qs")
 QS_EXACT = KernelSpec(kind="qs", truncation_eps=0.0)
@@ -358,6 +359,27 @@ def direct_w(eta, h, s_n, spec):
     for k in range(1, n):
         total = total + 2.0 * weights[k] * (eta[k:] * eta[:-k]).sum(axis=0)
     return h ** 2 * total / n
+
+
+class TestMirroredPairs:
+    """(a, b) and (b, a) are one precision coefficient: their score columns
+    are equal bit for bit, and on the Gram route so is their w_diag."""
+
+    @pytest.mark.parametrize("spec", [QS, BART], ids=["qs", "bartlett"])
+    def test_gram_route_w_diag_is_mirror_exact(self, rng, spec):
+        from precboot.core import index_set_all_offdiag
+        from precboot.simulate import true_zero_set
+
+        pipe = desk_fit()
+        for S in (true_zero_set("A", 50), index_set_all_offdiag(50),
+                  partly_mirrored(50, rng)):
+            eta, h = pipe.scores(S)
+            assert _gram_inputs(eta) is not None
+            mirror = mirror_positions(S)
+            paired = mirror >= 0
+            assert paired.sum() >= S.r // 2
+            w = w_diag(eta, h, andrews_bandwidth(eta, spec), spec)
+            np.testing.assert_array_equal(w[paired], w[mirror[paired]])
 
 
 class TestWDiagOracle:
